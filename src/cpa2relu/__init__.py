@@ -6,7 +6,6 @@ from .decompose import (Decomposition, EdgePair, Fan, decompose,
                         eval_decomposition, eval_fan)
 from .errors import *  # noqa: F401,F403
 from .geometry import Direction, Line, Point, Ray, Segment, pt
-from .kernels import BACKEND as KERNEL_BACKEND
 from .maxform import MaxTerm, TermList, reduce
 from .model import (AffineFunc, CPAInstance, eval_cpa, parse_instance,
                     serialize_instance, sparsify, validate)

@@ -178,10 +178,10 @@ def on_edge(x: Point, e: EdgeGeom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Crossing counts
+# Crossings
 
 class _Degenerate:
-    """Sentinel returned by crossing_count when the path is not generic."""
+    """Sentinel for a crossing parity whose path is not generic."""
 
     _instance = None
 
@@ -198,11 +198,6 @@ class _Degenerate:
 
 
 DEGENERATE = _Degenerate()
-
-
-def _hull_side(e: EdgeGeom, x: Point) -> int:
-    p, q = hull_points(e)
-    return orientation(p, q, x)
 
 
 def _hull_intersection(e: EdgeGeom, s: Point, t: Point) -> Point:
@@ -232,33 +227,6 @@ def _crossing_on_edge(e: EdgeGeom, z: Point):
     d = sub(e.b, e.a)
     t = dot(sub(z, e.a), d)
     return 1 if 0 < t < dot(d, d) else 0
-
-
-def crossing_count(path: list[Point], e: EdgeGeom):
-    """Number of transversal crossings of a polyline with an edge.
-
-    Returns DEGENERATE when any path vertex lies on the affine hull of e
-    or a crossing lands on an endpoint (or ray origin) of e; callers are
-    expected to reroute the path and retry.
-    """
-    if len(path) < 2:
-        raise ValueError("path needs at least two points")
-    for s, t in zip(path, path[1:]):
-        if s == t:
-            raise ValueError("path has a repeated consecutive point")
-    sides = [_hull_side(e, v) for v in path]
-    if any(s == 0 for s in sides):
-        return DEGENERATE
-    count = 0
-    for i in range(len(path) - 1):
-        if sides[i] == sides[i + 1]:
-            continue
-        z = _hull_intersection(e, path[i], path[i + 1])
-        c = _crossing_on_edge(e, z)
-        if c is DEGENERATE:
-            return DEGENERATE
-        count += c
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +291,6 @@ def sector_midpoint_direction(start: Direction, end: Direction) -> Direction:
     if in_ccw_sector(start, end, s):
         return s
     return -s
-
-
-def ccw_angle_lt_pi(start: Direction, end: Direction) -> bool:
-    """True when the CCW angle from start to end is strictly below pi."""
-    return cross(start, end) > 0
 
 
 def dist_sq_point_edge(q: Point, e: EdgeGeom) -> Rat:

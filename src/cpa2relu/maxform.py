@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from . import kernels
 from .errors import (
     ContinuityError,
     MalformedFanError,
@@ -95,11 +97,18 @@ class TermList:
     terms: tuple[MaxTerm, ...]
     source_p: int
 
+    @cached_property
+    def kernel_terms(self) -> list[tuple]:
+        """Flat integer encoding of the terms for kernels.eval_terms."""
+        return [(t.sigma1, t.sigma2,
+                 *t.f1.int_form(), *t.f2.int_form(), *t.f3.int_form())
+                for t in self.terms]
+
     def __call__(self, x: Point) -> Rat:
-        total = Fraction(0)
-        for t in self.terms:
-            total += t(x)
-        return total
+        n, d = kernels.eval_terms(self.kernel_terms, x.x.numerator,
+                                  x.x.denominator, x.y.numerator,
+                                  x.y.denominator)
+        return Fraction(n, d)
 
     def to_json(self) -> dict:
         return {"source_p": self.source_p,
@@ -109,15 +118,6 @@ class TermList:
     def from_json(cls, doc) -> "TermList":
         return cls(tuple(MaxTerm.from_json(t) for t in doc["terms"]),
                    int(doc["source_p"]))
-
-
-def kernel_terms(tl: TermList) -> list[tuple]:
-    """Flat integer encoding of the terms for the evaluation kernels."""
-    out = []
-    for t in tl.terms:
-        out.append((t.sigma1, t.sigma2,
-                    *t.f1.int_form(), *t.f2.int_form(), *t.f3.int_form()))
-    return out
 
 
 @dataclass(frozen=True)

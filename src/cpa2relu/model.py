@@ -56,6 +56,7 @@ from .geometry import (
 N_COVER = 256
 MAX_SAMPLE_REJECTS = 10_000
 MAX_DENOMINATOR = 1 << 16
+PARITY_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,7 @@ class CPAInstance:
             self.piece_vertices[pid] = tuple(sorted(vs))
         # caches filled lazily
         self._int_lines: dict[str, tuple[int, int, int]] = {}
+        self._piece_lines: dict[str, list] = {}
         self._bbox: tuple[Rat, Rat, Rat, Rat] | None = None
         self.cone_cache: dict = {}
         self.halfplane_cache: dict = {}
@@ -179,9 +181,17 @@ class CPAInstance:
             self._int_lines[eid] = L
         return L
 
-    def piece_degree(self, pid: str, vid: str) -> int:
-        return sum(1 for eid in self.vertex_edges[vid]
-                   if eid in set(self.piece_edges[pid]))
+    def piece_lines(self, pid: str) -> list:
+        """(int_line, geom) of every boundary edge of the piece, the
+        form _path_parity takes."""
+        lines = self._piece_lines.get(pid)
+        if lines is None:
+            lines = self.edge_lines(self.piece_edges[pid])
+            self._piece_lines[pid] = lines
+        return lines
+
+    def edge_lines(self, edge_ids) -> list:
+        return [(self.int_line(eid), self.edges[eid].geom) for eid in edge_ids]
 
     def bbox(self) -> tuple[Rat, Rat, Rat, Rat]:
         """Axis box spanning twice the instance's coordinate extent."""
@@ -344,29 +354,25 @@ def serialize_instance(inst: CPAInstance) -> dict:
     return doc
 
 
-def instance_to_json(inst: CPAInstance) -> str:
-    return json.dumps(serialize_instance(inst), indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Membership by crossing parity
 
-def _path_parity(inst: CPAInstance, edge_ids, path: list[Point]):
-    """Crossing parity of a polyline against a set of edges.
+def _path_parity(lines, path: list[Point]):
+    """Crossing parity of a polyline against a set of edges, each given
+    as an (int_line, geom) pair.
 
     Returns 0/1, or DEGENERATE when an interior path vertex or a whole
     path segment lies on some hull, or a crossing hits an edge endpoint.
     A path *endpoint* merely touching a hull (while off the edge itself)
-    contributes nothing and is fine.
+    contributes nothing and is fine; endpoints on an edge are the
+    caller's to exclude.
     """
     ipath = [int_point(q) for q in path]
     count = 0
-    for eid in edge_ids:
-        A, B, C = inst.int_line(eid)
+    for (A, B, C), geom in lines:
         sides = [kernels.line_sign(A, B, C, *ip) for ip in ipath]
         if any(s == 0 for s in sides[1:-1]):
             return DEGENERATE
-        geom = inst.edges[eid].geom
         for i in range(len(path) - 1):
             s0, s1 = sides[i], sides[i + 1]
             if s0 == 0 and s1 == 0:
@@ -381,9 +387,9 @@ def _path_parity(inst: CPAInstance, edge_ids, path: list[Point]):
     return count & 1
 
 
-def _random_box_point(inst: CPAInstance, rng: random.Random,
+def _random_box_point(box: tuple[Rat, Rat, Rat, Rat], rng: random.Random,
                       max_den: int = 256) -> Point:
-    xmin, ymin, xmax, ymax = inst.bbox()
+    xmin, ymin, xmax, ymax = box
     coords = []
     for lo, hi in ((xmin, xmax), (ymin, ymax)):
         den = rng.randint(2, max_den)
@@ -395,28 +401,35 @@ def _random_box_point(inst: CPAInstance, rng: random.Random,
     return Point(*coords)
 
 
-def _member_core(inst: CPAInstance, pid: str, x: Point, seed: int = 0,
-                 retries: int = 32) -> bool:
-    """Parity membership of x in a piece.  x must be off the boundary."""
-    piece = inst.pieces[pid]
-    w = piece.witness
+def _parity_between(lines, x: Point, w: Point,
+                    box: tuple[Rat, Rat, Rat, Rat], seed: int = 0) -> int:
+    """Crossing parity of a generic path from x to w against the edges.
+
+    The straight path goes first; while it is degenerate, the path is
+    rerouted through a seeded random point of box.  x and w must lie off
+    every edge; they may touch hulls, since rerouting never moves them.
+    """
     if x == w:
-        return True
-    edge_ids = inst.piece_edges[pid]
+        return 0
     path = [x, w]
     rng: random.Random | None = None
-    for _ in range(retries):
-        par = _path_parity(inst, edge_ids, path)
+    for _ in range(PARITY_RETRIES):
+        par = _path_parity(lines, path)
         if par is not DEGENERATE:
-            return par == 0
+            return par
         if rng is None:
             rng = random.Random(seed)
-        via = _random_box_point(inst, rng)
+        via = _random_box_point(box, rng)
         if via == x or via == w:
             continue
         path = [x, via, w]
-    raise RetriesExhaustedError(
-        f"no generic path from {x} to witness of piece {pid}")
+    raise RetriesExhaustedError(f"no generic path from {x} to {w}")
+
+
+def _member_core(inst: CPAInstance, pid: str, x: Point, seed: int = 0) -> bool:
+    """Parity membership of x in a piece.  x must be off the boundary."""
+    return _parity_between(inst.piece_lines(pid), x, inst.pieces[pid].witness,
+                           inst.bbox(), seed) == 0
 
 
 def _pieces_at(inst: CPAInstance, x: Point) -> dict[str, Rat]:
@@ -983,10 +996,10 @@ def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance
         comps = pcomps[pid]
         if comps is None:
             eset = {e: (egeom[e], evids[e]) for e in piece_edge_set(pid)}
-            w = pwitness[pid]
+            lines = [(int_line(egeom[e]), egeom[e]) for e in sorted(eset)]
 
-            def parity(probe: Point, _w=w, _es=sorted(eset)) -> bool:
-                return _parity_probe(egeom, _es, probe, _w)
+            def parity(probe: Point, _lines=lines, _w=pwitness[pid]) -> bool:
+                return _parity_between(_lines, probe, _w, inst.bbox()) == 0
 
             comps = _trace_components(eset, parity)
         pieces[pid] = Piece(pid, paffine[pid], tuple(comps), pwitness[pid])
@@ -1010,33 +1023,3 @@ def _splice_pair(es: list[str], kind: str, e1: str, e2: str, mid: str) -> list[s
                 raise InvalidInputError("cycle degenerated during merge")
             return out
     raise InvalidInputError(f"edges {e1}, {e2} are not adjacent in {es}")
-
-
-def _parity_probe(egeom: dict[str, EdgeGeom], edge_ids: list[str],
-                  x: Point, w: Point, retries: int = 32) -> bool:
-    """Standalone parity membership for a raw edge set (sparsify helper)."""
-    from .geometry import crossing_count
-
-    if x == w:
-        return True
-    rng = random.Random(7)
-    path = [x, w]
-    for _ in range(retries):
-        total = 0
-        ok = True
-        for eid in edge_ids:
-            c = crossing_count(path, egeom[eid])
-            if c is DEGENERATE:
-                ok = False
-                break
-            total += c
-        if ok:
-            return total % 2 == 0
-        span = max(abs(x.x), abs(x.y), abs(w.x), abs(w.y), Fraction(1))
-        via = Point(Fraction(rng.randint(-4 * span.numerator, 4 * span.numerator),
-                             span.denominator * rng.randint(2, 64)),
-                    Fraction(rng.randint(-4 * span.numerator, 4 * span.numerator),
-                             span.denominator * rng.randint(2, 64)))
-        if via != x and via != w:
-            path = [x, via, w]
-    raise RetriesExhaustedError("no generic probe path during boundary retrace")

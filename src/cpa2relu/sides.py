@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import kernels
 from .errors import GeneralPositionError, InvalidInputError, OnBoundaryError
 from .geometry import (
-    DEGENERATE,
     Direction,
     Line,
     Point,
@@ -37,7 +36,7 @@ from .geometry import (
     sub,
     translate,
 )
-from .model import AffineFunc, CPAInstance, _member_core, _path_parity
+from .model import AffineFunc, CPAInstance, _member_core, _parity_between
 
 
 def member(inst: CPAInstance, piece_id: str, x: Point, seed: int = 0) -> bool:
@@ -117,14 +116,6 @@ def edge_clearance_sq(inst: CPAInstance, edge_id: str) -> Rat:
 # ---------------------------------------------------------------------------
 # Vertex cones
 
-@dataclass(frozen=True)
-class ConeSide:
-    """The cone of a piece at a vertex: the union of its CCW sectors."""
-
-    vertex: Point
-    sectors: tuple[tuple[Direction, Direction], ...]
-
-
 def vertex_sectors(inst: CPAInstance, piece_id: str, vertex_id: str,
                    seed: int = 0) -> list[tuple[Direction, Direction, bool]]:
     """All sectors between consecutive piece edges at a vertex with their
@@ -160,12 +151,6 @@ def vertex_sectors(inst: CPAInstance, piece_id: str, vertex_id: str,
         sectors.append((start, end, _member_core(inst, piece_id, probe, seed=seed)))
     inst.cone_cache[key] = sectors
     return sectors
-
-
-def vertex_cone(inst: CPAInstance, piece_id: str, vertex_id: str) -> ConeSide:
-    sectors = vertex_sectors(inst, piece_id, vertex_id)
-    return ConeSide(inst.vertices[vertex_id],
-                    tuple((s, e) for s, e, inside in sectors if inside))
 
 
 def vertex_cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
@@ -254,23 +239,14 @@ class ConicCoeff:
 
 
 def point_in_cycle(inst: CPAInstance, cycle_edges, x: Point,
-                   seed: int = 0, retries: int = 32) -> bool:
+                   seed: int = 0) -> bool:
     """Whether x lies inside the closed region bounded by a single cycle
-    of segment edges (crossing parity against that cycle alone)."""
-    xmin, ymin, xmax, ymax = inst.bbox()
-    edge_ids = list(cycle_edges)
-    import random as _random
-
-    rng = _random.Random(seed)
-    far = Point(xmax + 1, ymax + 2)
-    for _ in range(retries):
-        if far != x:
-            par = _path_parity(inst, edge_ids, [x, far])
-            if par is not DEGENERATE:
-                return par == 1
-        far = Point(xmax + 1 + Fraction(rng.randint(1, 997), 1009),
-                    ymax + 2 + Fraction(rng.randint(1, 996), 997))
-    raise InvalidInputError("could not find a generic ray out of the cycle")
+    of segment edges (crossing parity against that cycle alone, on a
+    path to a point outside the instance's bounding box)."""
+    box = inst.bbox()
+    far = Point(box[2] + 1, box[3] + 2)
+    return _parity_between(inst.edge_lines(cycle_edges), x, far, box,
+                           seed) == 1
 
 
 def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:

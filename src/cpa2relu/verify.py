@@ -1,10 +1,15 @@
 """Randomized exact certification of the compilation pipeline.
 
 Every check here compares rational values for equality -- no tolerances.
-Two distinct continuous piecewise-affine functions differ on a region of
-positive area, so equality at a few hundred random rational points is
-overwhelming evidence of equivalence; we still call the result a
-certificate only in that probabilistic sense.
+Samples are random rational points off every edge hull, drawn from the
+instance's doubled bounding box (CPAInstance.bbox).  Two distinct
+continuous piecewise-affine functions differ on a region of positive
+area, but that region may lie wholly outside the box: a network with an
+extra term max(0, x - 1000) agrees with a small instance everywhere the
+sampler looks.  "certified" therefore means agreement at the samples in
+the box, and nothing more.  The stage evaluators are exact: the instance
+through crossing-parity membership, the term list and the network
+through the integer kernels in cpa2relu.kernels.
 
 Reports are plain data and fully reproducible: the same instance and seed
 always produce byte-identical JSON.

@@ -3,15 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cpa2relu.geometry import (
-    Direction, Line, Point, Ray, Segment, ccw_sort_directions, cross,
-    crossing_count, dr, in_ccw_sector, on_edge, orientation, pt,
+    DEGENERATE, Direction, Line, Point, Ray, Segment, ccw_sort_directions,
+    cross, dr, in_ccw_sector, int_line, on_edge, orientation, pt,
     rat_from_json, rat_to_json, same_direction, sector_midpoint_direction,
     shrink_to_disk,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
+from cpa2relu.model import _parity_between, _path_parity
 
 rats = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 points = st.builds(pt, rats, rats)
@@ -79,10 +80,26 @@ def test_sector_midpoint_lies_in_sector(start, end):
 @given(st.lists(points, min_size=3, max_size=6, unique=True), points, int_dirs)
 def test_closed_loop_crosses_line_evenly(loop, base, d):
     line = Line(base, d)
-    path = loop + [loop[0]]
-    n = crossing_count(path, line)
-    if isinstance(n, int):
-        assert n % 2 == 0
+    # parity is defined for endpoints off the edge, and a line is its hull
+    assume(not on_edge(loop[0], line))
+    par = _path_parity([(int_line(line), line)], loop + [loop[0]])
+    assert par is DEGENERATE or par == 0
+
+
+def test_path_parity_tolerates_endpoints_on_hulls():
+    seg = Segment(pt(0, 0), pt(2, 0))
+    ray = Ray(pt(0, 0), dr(1, 0))
+    for edge, touch in ((seg, pt(5, 0)), (seg, pt(-3, 0)), (ray, pt(-2, 0))):
+        lines = [(int_line(edge), edge)]
+        assert _path_parity(lines, [touch, pt(1, 1)]) == 0
+        assert _path_parity(lines, [touch, pt(1, 1), pt(1, -1)]) == 1
+        assert _path_parity(lines, [pt(1, 1), touch, pt(1, -1)]) is DEGENERATE
+    # both endpoints on the hull: the straight path runs along it, and
+    # only a detour, which keeps the endpoints, gives the parity
+    lines = [(int_line(seg), seg)]
+    assert _path_parity(lines, [pt(5, 0), pt(-3, 0)]) is DEGENERATE
+    box = (Fraction(-4), Fraction(-4), Fraction(6), Fraction(4))
+    assert _parity_between(lines, pt(5, 0), pt(-3, 0), box) == 0
 
 
 @given(int_dirs, st.integers(1, 400))

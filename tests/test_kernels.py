@@ -1,18 +1,9 @@
-"""The compiled kernels and the pure-Python twin must agree exactly."""
+"""The integer kernels agree exactly with Fraction references."""
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from cpa2relu import _kernels_py as pure
 from cpa2relu import kernels
-
-try:
-    from cpa2relu import _kernels as fast
-except ImportError:  # pragma: no cover - build-less environments
-    fast = None
-
-needs_fast = pytest.mark.skipif(fast is None, reason="extension not built")
 
 ints = st.integers(-10**6, 10**6)
 pos = st.integers(1, 10**6)
@@ -22,36 +13,13 @@ term_ints = st.tuples(
     ints, ints, ints, pos, ints, ints, ints, pos, ints, ints, ints, pos)
 
 
-def test_backend_selected():
-    assert kernels.BACKEND in ("pure", "compiled")
-    assert pure.BACKEND == "pure"
-    if fast is not None:
-        assert fast.BACKEND == "compiled"
-
-
-@given(ints, st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-def test_rat_reduce_lowest_terms(n, d):
-    rn, rd = pure.rat_reduce(n, d)
-    assert rd > 0
-    assert Fraction(rn, rd) == Fraction(n, d)
-    assert Fraction(rn, rd).numerator == rn
-
-
-@needs_fast
-@given(ints, st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-def test_rat_reduce_backends_agree(n, d):
-    assert pure.rat_reduce(n, d) == fast.rat_reduce(n, d)
-
-
 @given(ints, ints, ints, rat_pairs, rat_pairs)
 def test_line_sign_matches_fractions(a, b, c, xp, yp):
     xn, xd = xp
     yn, yd = yp
     want = a * Fraction(xn, xd) + b * Fraction(yn, yd) + c
-    got = pure.line_sign(a, b, c, xn, xd, yn, yd)
+    got = kernels.line_sign(a, b, c, xn, xd, yn, yd)
     assert got == (want > 0) - (want < 0)
-    if fast is not None:
-        assert fast.line_sign(a, b, c, xn, xd, yn, yd) == got
 
 
 def _terms_reference(terms, x, y):
@@ -71,17 +39,14 @@ def _terms_reference(terms, x, y):
 def test_eval_terms_matches_fractions(terms, xp, yp):
     x = Fraction(*xp)
     y = Fraction(*yp)
-    n, d = pure.eval_terms(terms, x.numerator, x.denominator,
-                           y.numerator, y.denominator)
+    n, d = kernels.eval_terms(terms, x.numerator, x.denominator,
+                              y.numerator, y.denominator)
     assert Fraction(n, d) == _terms_reference(terms, x, y)
-    if fast is not None:
-        assert fast.eval_terms(terms, x.numerator, x.denominator,
-                               y.numerator, y.denominator) == (n, d)
 
 
 @given(rat_pairs, rat_pairs, st.data())
-def test_forward_layers_backends_agree(xp, yp, data):
-    """Random two-layer stacks, exercised through both backends."""
+def test_forward_layers_matches_fractions(xp, yp, data):
+    """Random two-layer stacks against a Fraction forward pass."""
     w = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
                                      ints, pos),
                            min_size=1, max_size=8))
@@ -91,7 +56,7 @@ def test_forward_layers_backends_agree(xp, yp, data):
                             min_size=1, max_size=4))
     bias2 = data.draw(st.lists(rat_pairs, min_size=1, max_size=1))
     layers = [(3, sorted(set(w)), bias1), (1, sorted(set(w2)), bias2)]
-    got = pure.forward_layers(layers, xp[0], xp[1], yp[0], yp[1])
+    got = kernels.forward_layers(layers, xp[0], xp[1], yp[0], yp[1])
 
     # Fraction reference
     vals = [Fraction(*xp), Fraction(*yp)]
@@ -103,6 +68,3 @@ def test_forward_layers_backends_agree(xp, yp, data):
     for r, c, wn, wd in layers[1][1]:
         out += Fraction(wn, wd) * hidden[c]
     assert Fraction(*got) == out
-
-    if fast is not None:
-        assert fast.forward_layers(layers, xp[0], xp[1], yp[0], yp[1]) == got

@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cpa2relu import kernels, model
+from cpa2relu import model
 from cpa2relu.decompose import EdgePair, Fan, eval_fan
 from cpa2relu.errors import NotCrossCaseError
 from cpa2relu.geometry import cross, dr, pt, same_direction
 from cpa2relu.maxform import (
-    MaxTerm, edge_to_max, fan_to_cpl, kernel_terms, merge_step,
+    MaxTerm, TermList, edge_to_max, fan_to_cpl, merge_step,
     split_cross_case, three_piece_to_max, two_sector_to_max,
 )
 from cpa2relu.model import AffineFunc
@@ -254,12 +254,16 @@ def test_term_sum_matches_instance(compiled):
 
 
 def test_kernel_encoding_matches_terms(compiled):
+    """The kernel-backed term sum against the Fraction MaxTerm reference."""
     for name, (_, slim, _, tl, _) in compiled.items():
-        enc = kernel_terms(tl)
-        for x in sample_general_position(slim, 31, 20):
-            n, d = kernels.eval_terms(enc, x.x.numerator, x.x.denominator,
-                                      x.y.numerator, x.y.denominator)
-            assert Fraction(n, d) == tl(x), name
+        for x in sample_general_position(slim, 31, 20) + PROBES:
+            assert tl(x) == sum(t(x) for t in tl.terms), name
+
+
+@given(st.lists(terms, max_size=4), st.builds(pt, rats, rats))
+def test_term_list_matches_max_terms(ts, x):
+    """Rational coefficients survive the integer encoding."""
+    assert TermList(tuple(ts), 1)(x) == sum(t(x) for t in ts)
 
 
 def test_fan_to_cpl_inverse(compiled):

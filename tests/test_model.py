@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cpa2relu import model
+from cpa2relu import corpus, maxform, model, network
+from cpa2relu.decompose import decompose
 from cpa2relu.errors import (
     ContinuityError, DanglingRefError, SchemaError,
 )
@@ -284,3 +285,18 @@ def test_sparsify_contract_on_corpus(compiled):
                 degree[vid] += 1
         assert all(d >= 3 for d in degree.values()), (name, degree)
         assert len(slim.edges) <= 3 * slim.p, name
+
+
+def test_sparsify_retraces_pieces_whose_probes_touch_hulls():
+    """The boundary retrace tolerates probe points on another edge's hull.
+
+    In this draw, probes next to a merged piece's edges land on hulls of
+    edges that rerouting cannot avoid, because rerouting never moves the
+    path's endpoints.
+    """
+    inst = model.parse_instance(corpus.random_instance(16, n_points=40))
+    # random_instance returns only documents that validate
+    slim = model.sparsify(inst, skip_validation=True)
+    net = network.build_network(maxform.reduce(decompose(slim), slim.p))
+    for x in sample_general_position(inst, 0, 40):
+        assert network.eval_network(net, x) == model.eval_cpa(inst, x)
