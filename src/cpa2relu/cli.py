@@ -201,7 +201,7 @@ def _cmd_sparsify(cfg: CliConfig) -> int:
 def _cmd_decompose(cfg: CliConfig) -> int:
     inst = _validated(cfg.input_path, cfg.seed)
     slim = sparsify(inst, skip_validation=True)
-    dec = decompose(slim, seed=cfg.seed)
+    dec = decompose(slim)
     _write_json(cfg.output_path, decomposition_to_json(dec))
     print(f"{len(dec.fans)} fans, {len(dec.edge_pairs)} edge functions; "
           f"wrote {cfg.output_path}")
@@ -211,7 +211,7 @@ def _cmd_decompose(cfg: CliConfig) -> int:
 def _compile(cfg: CliConfig):
     inst = _validated(cfg.input_path, cfg.seed)
     slim = sparsify(inst, skip_validation=True)
-    dec = decompose(slim, seed=cfg.seed)
+    dec = decompose(slim)
     terms = reduce_terms(dec, slim.p)
     return inst, slim, dec, terms, build_network(terms)
 

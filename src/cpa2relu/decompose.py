@@ -21,18 +21,14 @@ from .geometry import (
     Point,
     Rat,
     Ray,
-    Segment,
-    ccw_sort_directions,
     in_ccw_sector,
     rat_to_json,
     same_direction,
-    sector_midpoint_direction,
-    shrink_to_disk,
     sub,
     translate,
 )
-from .model import AffineFunc, CPAInstance, _member_core
-from .sides import conic_coeff, edge_halfplane, vertex_clearance_sq
+from .model import AffineFunc, CPAInstance, edge_sides, vertex_star
+from .sides import conic_coeff
 
 
 @dataclass(frozen=True)
@@ -106,58 +102,40 @@ class Decomposition:
     tail: AffineFunc
 
 
-def build_vertex_function(inst: CPAInstance, vertex_id: str,
-                          seed: int = 0) -> Fan:
+def build_vertex_function(inst: CPAInstance, vertex_id: str) -> Fan:
     """The fan agreeing with the instance on a small disk around the
-    vertex: one ray per incident edge, one probed piece per sector."""
-    v = inst.vertices[vertex_id]
-    incident = inst.vertex_edges[vertex_id]
-    dirs = []
-    candidates: set[str] = set()
-    for eid in incident:
-        e = inst.edges[eid]
-        g = e.geom
-        if isinstance(g, Segment):
-            other = g.b if g.a == v else g.a
-            dirs.append(sub(other, v))
-        else:
-            dirs.append(g.d)
-        candidates.update(e.pieces)
-    order = ccw_sort_directions(v, dirs)
-    dirs = [dirs[i] for i in order]
-    r2 = vertex_clearance_sq(inst, vertex_id)
+    vertex: one ray per incident edge, and sector i carries the piece
+    counterclockwise of ray i (model.vertex_star).  That piece must be
+    the one clockwise of ray i + 1; a chain of sectors that does not
+    close up this way raises InvalidInputError."""
+    star = vertex_star(inst, vertex_id)
     affines = []
-    for i, start in enumerate(dirs):
-        end = dirs[(i + 1) % len(dirs)]
-        mid = sector_midpoint_direction(start, end)
-        off = shrink_to_disk(mid, r2 / 4)
-        probe = Point(v.x + off.dx, v.y + off.dy)
-        owners = [pid for pid in sorted(candidates)
-                  if _member_core(inst, pid, probe, seed=seed)]
-        if len(owners) != 1:
+    for i, (_, ccw, _) in enumerate(star):
+        cw_next = star[(i + 1) % len(star)][2]
+        if ccw != cw_next:
             raise InvalidInputError(
-                f"sector probe {probe} at vertex {vertex_id} hit "
-                f"{len(owners)} pieces")
-        affines.append(inst.pieces[owners[0]].affine)
-    fan = Fan(v, tuple(dirs), tuple(affines))
+                f"sector {i} at vertex {vertex_id} starts in piece {ccw} "
+                f"but ends in piece {cw_next}")
+        affines.append(inst.pieces[ccw].affine)
+    fan = Fan(inst.vertices[vertex_id], tuple(d for d, _, _ in star),
+              tuple(affines))
     validate_fan(fan)
     return fan
 
 
 def build_edge_function(inst: CPAInstance, edge_id: str) -> EdgePair:
     """The two-affine function agreeing with the instance across an
-    edge.  Only segments and lines qualify."""
+    edge: its plus side is the left piece of the edge's int_line.  Only
+    segments and lines qualify."""
     e = inst.edges[edge_id]
     if isinstance(e.geom, Ray):
         raise InvalidInputError(
             f"edge {edge_id} is a ray; rays have no edge function")
-    q_id, r_id = e.pieces
-    hp_q = edge_halfplane(inst, q_id, edge_id)
-    plus_id, minus_id = (q_id, r_id) if hp_q.side > 0 else (r_id, q_id)
+    left, right = edge_sides(inst, edge_id)
     return EdgePair(
-        boundary=hp_q.boundary,
-        plus_side_affine=inst.pieces[plus_id].affine,
-        minus_side_affine=inst.pieces[minus_id].affine,
+        boundary=AffineFunc(*(Fraction(c) for c in inst.int_line(edge_id))),
+        plus_side_affine=inst.pieces[left].affine,
+        minus_side_affine=inst.pieces[right].affine,
         sign=1 if isinstance(e.geom, Line) else -1,
     )
 
@@ -174,14 +152,14 @@ def _check_sparsified(inst: CPAInstance) -> None:
                 f"vertex {vid} has degree {len(eids)}; sparsify first")
 
 
-def decompose(inst: CPAInstance, seed: int = 0) -> Decomposition:
+def decompose(inst: CPAInstance) -> Decomposition:
     """Assemble fans, edge pairs and the affine tail for an instance.
 
     The instance must already be sparsified; redundant vertices or
     edges would duplicate contributions.
     """
     _check_sparsified(inst)
-    fans = tuple(build_vertex_function(inst, vid, seed=seed)
+    fans = tuple(build_vertex_function(inst, vid)
                  for vid in sorted(inst.vertices))
     pairs = tuple(build_edge_function(inst, eid)
                   for eid in sorted(inst.edges)

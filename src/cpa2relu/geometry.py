@@ -153,6 +153,14 @@ def edge_base(e: EdgeGeom) -> Point:
     return e.p
 
 
+def away_direction(e: EdgeGeom, v: Point) -> Direction:
+    """Direction of the edge leaving its vertex v (a segment end or a
+    ray's apex)."""
+    if isinstance(e, Segment):
+        return sub(e.b if e.a == v else e.a, v)
+    return e.d
+
+
 def hull_points(e: EdgeGeom) -> tuple[Point, Point]:
     """Two distinct points spanning the affine hull of the edge."""
     p = edge_base(e)

@@ -22,20 +22,15 @@ from .errors import (
 )
 from .decompose import Decomposition, EdgePair, Fan, validate_fan
 from .geometry import (
-    Direction,
     Point,
     Rat,
     _ccw_cmp,
     cross,
     dot,
-    rat_from_json,
-    rat_to_json,
     sector_midpoint_direction,
     translate,
 )
 from .model import AffineFunc
-
-ThreePieceFan = Fan
 
 _ORIGIN = Point(Fraction(0), Fraction(0))
 

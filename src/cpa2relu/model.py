@@ -35,7 +35,10 @@ from .geometry import (
     Segment,
     _crossing_on_edge,
     _hull_intersection,
+    away_direction,
+    ccw_sort_directions,
     cross,
+    dist_sq_point_edge,
     dot,
     edge_base,
     edge_direction,
@@ -45,17 +48,18 @@ from .geometry import (
     on_affine_hull,
     on_edge,
     orientation,
-    perp,
     rat_from_json,
     rat_to_json,
     same_direction,
+    shrink_to_disk,
     sub,
     translate,
 )
 
 N_COVER = 256
 MAX_SAMPLE_REJECTS = 10_000
-MAX_DENOMINATOR = 1 << 16
+SAMPLE_DENOMINATORS = (1, 1 << 16)
+DETOUR_DENOMINATORS = (2, 256)
 PARITY_RETRIES = 32
 
 
@@ -164,11 +168,10 @@ class CPAInstance:
             self.piece_vertices[pid] = tuple(sorted(vs))
         # caches filled lazily
         self._int_lines: dict[str, tuple[int, int, int]] = {}
+        self._edge_sides: dict[str, tuple[str, str]] = {}
         self._piece_lines: dict[str, list] = {}
         self._bbox: tuple[Rat, Rat, Rat, Rat] | None = None
         self.cone_cache: dict = {}
-        self.halfplane_cache: dict = {}
-        self.clearance_cache: dict = {}
 
     @property
     def p(self) -> int:
@@ -388,11 +391,14 @@ def _path_parity(lines, path: list[Point]):
 
 
 def _random_box_point(box: tuple[Rat, Rat, Rat, Rat], rng: random.Random,
-                      max_den: int = 256) -> Point:
+                      dens: tuple[int, int]) -> Point:
+    """A random rational point of the closed box.  Each coordinate draws
+    its denominator uniformly from the range dens, then its numerator
+    among the multiples of 1/den inside the box."""
     xmin, ymin, xmax, ymax = box
     coords = []
     for lo, hi in ((xmin, xmax), (ymin, ymax)):
-        den = rng.randint(2, max_den)
+        den = rng.randint(*dens)
         nlo = -((-lo.numerator * den) // lo.denominator)
         nhi = (hi.numerator * den) // hi.denominator
         if nlo > nhi:
@@ -402,12 +408,13 @@ def _random_box_point(box: tuple[Rat, Rat, Rat, Rat], rng: random.Random,
 
 
 def _parity_between(lines, x: Point, w: Point,
-                    box: tuple[Rat, Rat, Rat, Rat], seed: int = 0) -> int:
+                    box: tuple[Rat, Rat, Rat, Rat]) -> int:
     """Crossing parity of a generic path from x to w against the edges.
 
     The straight path goes first; while it is degenerate, the path is
-    rerouted through a seeded random point of box.  x and w must lie off
-    every edge; they may touch hulls, since rerouting never moves them.
+    rerouted through a random point of box, drawn from a fixed seed.  x
+    and w must lie off every edge; they may touch hulls, since rerouting
+    never moves them.
     """
     if x == w:
         return 0
@@ -418,18 +425,93 @@ def _parity_between(lines, x: Point, w: Point,
         if par is not DEGENERATE:
             return par
         if rng is None:
-            rng = random.Random(seed)
-        via = _random_box_point(box, rng)
+            rng = random.Random(0)
+        via = _random_box_point(box, rng, DETOUR_DENOMINATORS)
         if via == x or via == w:
             continue
         path = [x, via, w]
     raise RetriesExhaustedError(f"no generic path from {x} to {w}")
 
 
-def _member_core(inst: CPAInstance, pid: str, x: Point, seed: int = 0) -> bool:
+def _member_core(inst: CPAInstance, pid: str, x: Point) -> bool:
     """Parity membership of x in a piece.  x must be off the boundary."""
     return _parity_between(inst.piece_lines(pid), x, inst.pieces[pid].witness,
-                           inst.bbox(), seed) == 0
+                           inst.bbox()) == 0
+
+
+# ---------------------------------------------------------------------------
+# Edge orientation: which piece lies on each side of each edge
+
+def _edge_interior_point(g: EdgeGeom) -> Point:
+    """A segment's midpoint, or the point one direction step from the
+    base of a ray or line."""
+    if isinstance(g, Segment):
+        return Point((g.a.x + g.b.x) / 2, (g.a.y + g.b.y) / 2)
+    return translate(edge_base(g), g.d)
+
+
+def edge_clearance_sq(inst: CPAInstance, edge_id: str) -> Rat:
+    """Squared distance from the edge's interior point to every other
+    edge and every vertex."""
+    m = _edge_interior_point(inst.edges[edge_id].geom)
+    d2s = [dist_sq_point_edge(m, e.geom)
+           for eid, e in inst.edges.items() if eid != edge_id]
+    for u in inst.vertices.values():
+        d = sub(m, u)
+        if d.dx or d.dy:
+            d2s.append(d.dx ** 2 + d.dy ** 2)
+    return min(d2s, default=Fraction(1))
+
+
+def edge_sides(inst: CPAInstance, eid: str) -> tuple[str, str]:
+    """(left, right): the declared pieces on the positive and on the
+    negative side of inst.int_line(eid).
+
+    The only membership probe beside an edge: the edge's first piece is
+    tested just off its interior point on both sides, closer than any
+    other edge or vertex.  Raises InvalidInputError when that piece
+    does not flip across the edge.  Cached per edge.
+    """
+    sides = inst._edge_sides.get(eid)
+    if sides is not None:
+        return sides
+    e = inst.edges[eid]
+    A, B, C = inst.int_line(eid)
+    m = _edge_interior_point(e.geom)
+    off = shrink_to_disk(Direction(Fraction(A), Fraction(B)),
+                         edge_clearance_sq(inst, eid) / 4)
+    q, r = e.pieces
+    in_plus = _member_core(inst, q, Point(m.x + off.dx, m.y + off.dy))
+    in_minus = _member_core(inst, q, Point(m.x - off.dx, m.y - off.dy))
+    if in_plus == in_minus:
+        raise InvalidInputError(f"piece {q} does not flip across edge {eid}")
+    sides = (q, r) if in_plus else (r, q)
+    inst._edge_sides[eid] = sides
+    return sides
+
+
+def vertex_star(inst: CPAInstance, vid: str,
+                edge_ids=None) -> list[tuple[Direction, str, str]]:
+    """The edges at a vertex, or those of them in edge_ids, in CCW order
+    of their direction away from it: (direction, ccw_piece, cw_piece)
+    with the pieces just counterclockwise and just clockwise of each.
+
+    An edge leaving the vertex along its own direction has its left
+    piece counterclockwise; a segment arriving at its end b has it
+    clockwise.
+    """
+    v = inst.vertices[vid]
+    eids = [eid for eid in inst.vertex_edges[vid]
+            if edge_ids is None or eid in edge_ids]
+    dirs = [away_direction(inst.edges[eid].geom, v) for eid in eids]
+    star = []
+    for i in ccw_sort_directions(v, dirs):
+        left, right = edge_sides(inst, eids[i])
+        g = inst.edges[eids[i]].geom
+        if isinstance(g, Segment) and g.b == v:
+            left, right = right, left
+        star.append((dirs[i], left, right))
+    return star
 
 
 def _pieces_at(inst: CPAInstance, x: Point) -> dict[str, Rat]:
@@ -467,24 +549,16 @@ def eval_cpa(inst: CPAInstance, x: Point) -> Rat:
     return inst.pieces[matches[0]].affine(x)
 
 
-def _sample_off_hulls(inst: CPAInstance, rng: random.Random, n: int,
-                      max_den: int = MAX_DENOMINATOR) -> list[Point]:
+def _sample_off_hulls(inst: CPAInstance, rng: random.Random,
+                      n: int) -> list[Point]:
     """n random rational points in the doubled bounding box, rejecting
     any point on an edge hull.  Raises SamplingStalledError when stuck."""
-    xmin, ymin, xmax, ymax = inst.bbox()
+    box = inst.bbox()
     lines = [inst.int_line(eid) for eid in inst.edges]
     out: list[Point] = []
     rejects = 0
     while len(out) < n:
-        coords = []
-        for lo, hi in ((xmin, xmax), (ymin, ymax)):
-            den = rng.randint(1, max_den)
-            nlo = -((-lo.numerator * den) // lo.denominator)
-            nhi = (hi.numerator * den) // hi.denominator
-            if nlo > nhi:
-                nlo = nhi
-            coords.append(Fraction(rng.randint(nlo, nhi), den))
-        q = Point(*coords)
+        q = _random_box_point(box, rng, SAMPLE_DENOMINATORS)
         ip = int_point(q)
         if any(kernels.line_sign(A, B, C, *ip) == 0 for (A, B, C) in lines):
             rejects += 1
@@ -612,7 +686,8 @@ def _chain_check(inst: CPAInstance, pid: str, comp: BoundaryComponent) -> list[s
 
 def validate(inst: CPAInstance, n_cover: int = N_COVER,
              seed: int = 0) -> ValidationReport:
-    """Run all instance admissibility checks and collect the outcomes."""
+    """Run all instance admissibility checks and collect the outcomes.
+    seed draws the cover check's sample points."""
     checks: list[CheckResult] = []
 
     # (a) continuity: adjacent affines agree on each edge's hull
@@ -685,8 +760,7 @@ def validate(inst: CPAInstance, n_cover: int = N_COVER,
             if pid == qid:
                 continue
             try:
-                inside = _member_core(inst, pid, inst.pieces[qid].witness,
-                                      seed=seed)
+                inside = _member_core(inst, pid, inst.pieces[qid].witness)
             except RetriesExhaustedError:
                 fails.append(f"no generic path between witnesses of {pid}, {qid}")
                 continue
@@ -702,7 +776,7 @@ def validate(inst: CPAInstance, n_cover: int = N_COVER,
         samples = []
         fails.append(str(exc))
     for q in samples:
-        hits = [pid for pid in pids if _member_core(inst, pid, q, seed=seed)]
+        hits = [pid for pid in pids if _member_core(inst, pid, q)]
         if len(hits) != 1:
             fails.append(f"point {q} lies in pieces {hits}")
             if len(fails) > 5:
@@ -735,57 +809,22 @@ def _merged_geom(g1: EdgeGeom, g2: EdgeGeom, at: Point) -> EdgeGeom:
 
 
 def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
-                      parity,
+                      forward: dict[str, bool],
                       ) -> list[BoundaryComponent]:
     """Recover the boundary components of a piece from its edge set.
 
-    parity(probe) must return True when probe lies inside the piece.
-    Edges are oriented with the piece on the left, walked with the
-    usual clockwise-next turn rule, and the resulting closed or
-    bi-infinite walks are split into simple components at repeated
-    vertices.
+    forward[eid] says whether the piece lies on the left of the edge's
+    direction (the positive side of its int_line), as edge_sides
+    reports it; lines need no entry.  Each line is an arc of its own.
+    The other edges are walked with the piece on the left by the usual
+    clockwise-next turn rule, and the resulting closed or bi-infinite
+    walks are split into simple components at repeated vertices.
     """
-    from .geometry import dist_sq_point_edge, shrink_to_disk
-
     geoms = {eid: g for eid, (g, _) in edges.items()}
     vids = {eid: vs for eid, (_, vs) in edges.items()}
-    vertex_pts: dict[str, Point] = {}
-    for eid, g in geoms.items():
-        if isinstance(g, Segment):
-            vertex_pts[vids[eid][0]] = g.a
-            vertex_pts[vids[eid][1]] = g.b
-        elif isinstance(g, Ray):
-            vertex_pts[vids[eid][0]] = g.v
-
-    def midpoint(g: EdgeGeom) -> Point:
-        if isinstance(g, Segment):
-            return Point((g.a.x + g.b.x) / 2, (g.a.y + g.b.y) / 2)
-        return translate(edge_base(g), edge_direction(g))
-
-    # orient every edge with the piece on its left
-    forward: dict[str, bool] = {}
-    components: list[BoundaryComponent] = []
-    for eid in sorted(geoms):
-        g = geoms[eid]
-        if isinstance(g, Line):
-            components.append(BoundaryComponent(ARC, (eid,)))
-            continue
-        m = midpoint(g)
-        clear = None
-        for oid, og in geoms.items():
-            if oid == eid:
-                continue
-            d2 = dist_sq_point_edge(m, og)
-            clear = d2 if clear is None else min(clear, d2)
-        for vp in vertex_pts.values():
-            d2 = sub(m, vp).dx ** 2 + sub(m, vp).dy ** 2
-            if d2 > 0:
-                clear = d2 if clear is None else min(clear, d2)
-        if clear is None:
-            clear = Fraction(1)
-        off = shrink_to_disk(perp(edge_direction(g)), clear / 4)
-        left = Point(m.x + off.dx, m.y + off.dy)
-        forward[eid] = parity(left)
+    components = [BoundaryComponent(ARC, (eid,)) for eid in sorted(geoms)
+                  if isinstance(geoms[eid], Line)]
+    walked = [eid for eid in sorted(geoms) if not isinstance(geoms[eid], Line)]
 
     # half-edge walk
     def tail_head(eid: str) -> tuple[str | None, str | None]:
@@ -801,7 +840,7 @@ def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
         return d if forward[eid] else -d
 
     outgoing: dict[str, list[str]] = {}
-    for eid in forward:
+    for eid in walked:
         t, _ = tail_head(eid)
         if t is not None:
             outgoing.setdefault(t, []).append(eid)
@@ -875,14 +914,13 @@ def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
             components.append(BoundaryComponent(ARC, tuple(e for e, _ in stack)))
 
     # arcs start at inbound rays, cycles at any unused segment half-edge
-    for eid in sorted(forward):
-        g = geoms[eid]
-        if isinstance(g, Ray) and eid not in used:
+    for eid in walked:
+        if isinstance(geoms[eid], Ray) and eid not in used:
             t, _ = tail_head(eid)
             if t is None:
                 walk(eid, closed=False)
-    for eid in sorted(forward):
-        if eid not in used and not isinstance(geoms[eid], Line):
+    for eid in walked:
+        if eid not in used:
             walk(eid, closed=True)
     return components
 
@@ -939,13 +977,11 @@ def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance
 
     # pass 2: remove degree-2 vertices whose incident edges are collinear.
     # A degree-2 vertex with a genuine corner (square corners, say) stays.
-    def _away_dir(g: EdgeGeom, at: Point) -> Direction:
-        if isinstance(g, Segment):
-            other = g.b if g.a == at else g.a
-            return sub(other, at)
-        assert isinstance(g, Ray)
-        return g.d
-
+    # origin maps a merged edge to the input edge its first part e1 came
+    # from, and whether its int_line runs against that edge's.  Renaming
+    # and merging keep the positions in each pieces pair, so left_piece
+    # can read the left piece off the input edge's edge_sides.
+    origin: dict[str, tuple[str, int]] = {}
     counter = 0
     while True:
         deg: dict[str, list[str]] = {v: [] for v in vertices}
@@ -956,7 +992,8 @@ def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance
         for vid in sorted(deg):
             if len(deg[vid]) != 2:
                 continue
-            f1, f2 = (_away_dir(egeom[e], vertices[vid]) for e in sorted(deg[vid]))
+            f1, f2 = (away_direction(egeom[e], vertices[vid])
+                      for e in sorted(deg[vid]))
             if cross(f1, f2) == 0 and dot(f1, f2) < 0:
                 target = vid
                 break
@@ -975,6 +1012,8 @@ def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance
         egeom[mid] = merged
         evids[mid] = new_vids
         epieces[mid] = epieces[e1]
+        src, flip = origin.get(e1, (e1, 0))
+        origin[mid] = (src, flip ^ (int_line(merged) != int_line(egeom[e1])))
         for pid in set(epieces[e1]):
             comps = pcomps[pid]
             if comps is None:
@@ -990,18 +1029,20 @@ def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance
         del egeom[e2], evids[e2], epieces[e2]
         del vertices[target]
 
+    def left_piece(eid: str) -> str:
+        src, flip = origin.get(eid, (eid, 0))
+        left = edge_sides(inst, src)[0]
+        return epieces[eid][inst.edges[src].pieces.index(left) ^ flip]
+
     # retrace boundaries of merged pieces
     pieces: dict[str, Piece] = {}
     for pid in sorted(paffine):
         comps = pcomps[pid]
         if comps is None:
             eset = {e: (egeom[e], evids[e]) for e in piece_edge_set(pid)}
-            lines = [(int_line(egeom[e]), egeom[e]) for e in sorted(eset)]
-
-            def parity(probe: Point, _lines=lines, _w=pwitness[pid]) -> bool:
-                return _parity_between(_lines, probe, _w, inst.bbox()) == 0
-
-            comps = _trace_components(eset, parity)
+            forward = {e: left_piece(e) == pid for e in eset
+                       if not isinstance(egeom[e], Line)}
+            comps = _trace_components(eset, forward)
         pieces[pid] = Piece(pid, paffine[pid], tuple(comps), pwitness[pid])
 
     edges = {eid: EdgeRec(eid, egeom[eid], epieces[eid], evids[eid])

@@ -1,6 +1,8 @@
 """End-to-end command-line runs, in process."""
 import json
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +159,20 @@ def test_unparseable_instance_is_data_error(tmp_path, capsys):
     rc = cli.run(["validate", str(bad)])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `$ cpa2relu ...` line of the README's CLI block exits 0, in
+    order, in a scratch directory (corpus/ paths read the checkout)."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [shlex.split(line[len("$ cpa2relu "):])
+                for line in block.splitlines()
+                if line.startswith("$ cpa2relu ")]
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [str(root / a) if a.startswith("corpus/") else a for a in argv]
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()

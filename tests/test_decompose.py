@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpa2relu import model
+from cpa2relu import corpus, model
 from cpa2relu.decompose import (
     build_edge_function, build_vertex_function, decompose,
     decomposition_to_json, eval_decomposition, eval_fan, validate_fan,
@@ -135,3 +135,23 @@ def test_decomposition_json_shape(compiled):
     assert doc["tail"] == [-1, 0, 0]
     assert len(doc["edge_pairs"]) == 2
     assert doc["fans"] == []
+
+
+def test_decompose_rejects_sector_chains_that_do_not_close():
+    # sp_e declares NW where SE lies below it: at the apex the sector
+    # from sp_s to sp_e starts in SE but would end in NW
+    doc = corpus.hat()
+    doc["edges"]["sp_e"]["pieces"] = ["NE", "NW"]
+    with pytest.raises(InvalidInputError):
+        decompose(model.parse_instance(doc))
+
+
+def test_decompose_probes_each_edge_twice(compiled, monkeypatch):
+    _, slim, _, _, _ = compiled["random_tri_7"]
+    fresh = model.parse_instance(model.serialize_instance(slim))
+    calls = []
+    core = model._member_core
+    monkeypatch.setattr(model, "_member_core",
+                        lambda *a: calls.append(a) or core(*a))
+    decompose(fresh)
+    assert len(calls) == 2 * len(fresh.edges)

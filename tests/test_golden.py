@@ -1,0 +1,132 @@
+"""Byte-identity of every pipeline output on the shipped corpus.
+
+The SHA-256 digests below pin, per instance: the exported network, the
+decomposition dump, the serialized sparsified instance, the verifier's
+report at 200 samples and the lemma suite's report at 100 samples on
+the parsed and on the sparsified instance.  A change that alters any of
+these bytes must say so and update the digest.
+"""
+import hashlib
+import json
+
+import pytest
+
+from cpa2relu import corpus, maxform, model, network, verify
+from cpa2relu.decompose import decompose, decomposition_to_json
+
+OUTPUTS = ("export", "decomposition", "sparsified", "verify", "lemma_parsed",
+           "lemma_sparsified")
+
+DIGESTS = {
+    "cross": (
+        "02acc4d113745e789e20750f8f87f63c8754cdf26e5c5a6d0f6aa3b2b89539dd",
+        "2715d21d5b71020737312c93c408b640469ddfd68354f4105e0a9a45a3cb5ec8",
+        "0e026fccb0afb9004a393a331dc54ec5ced02484452a0aff6999e08bc8882793",
+        "61f5d68f9b38e1db1b08a99e0b353341a388094fd3f917c7b8c8e9f32f204867",
+        "25edd8d71deb2b18d4ed89e75471cfd55c874f976e5769faf66a8f2adf0a345a",
+        "25edd8d71deb2b18d4ed89e75471cfd55c874f976e5769faf66a8f2adf0a345a",
+    ),
+    "disconnected_cone": (
+        "490b098bd0edd0654c1b5be94531ad98201ce3c5a1d9f0f0aedd9d18d0db2f12",
+        "f6eadc9e90f6baad967a111bd90f9bf343a67473b2682fcaddaef4577122c20c",
+        "231f8a079d9614ca34ee94e33e2e3265b5917c758c196589e753d6633bee48ba",
+        "75ab6456ee1aa6c25450231886902439a134a22e09184690832775ce024dd6c7",
+        "010cf398888d0e71ac93b8b0c1efd5279444ce3229571f67ba6d018a74f574ec",
+        "010cf398888d0e71ac93b8b0c1efd5279444ce3229571f67ba6d018a74f574ec",
+    ),
+    "half_plane": (
+        "4c465cd6cfe03f7052b876750c831605dedf4cce22c7bf6d7419aae91608192b",
+        "f332cced628036360c3bdd1944c12fe76ebf89ac385589d3f551f387b2a3cb28",
+        "367f8a2508bc4b8b5d4c13a45a6f6a7e2afdcd645b83a720e79b0ffd6eb0e475",
+        "e8bf32812eef54c37845f2c01f3d85fb762a394fa94ec4e5cfbd5ccf1824c1ac",
+        "ae55445b24023c1e0807551ddff1cf19ae8244bacf17b0623963ffb36acf90c4",
+        "ae55445b24023c1e0807551ddff1cf19ae8244bacf17b0623963ffb36acf90c4",
+    ),
+    "hat": (
+        "150a4b75de1a878a296e1d66a7cfcc500a88281c004dc14c528148d6f1f2a65c",
+        "5d8a67c60cce60dd49e3e699481792d9f0dbd38bb175c10417dd5dc0ae6cd3f7",
+        "bcf5de340cbeec8e1af8818b0e629664363eec22e62b7639d190dc504551de68",
+        "7ee6ff0d50407a22515b06f744ae3f26ca215fc2e55014c35cd946fd91710a69",
+        "130f01eca2e916c15e0cbaa9f26597bde469336354e05bcf4cb07041be899343",
+        "130f01eca2e916c15e0cbaa9f26597bde469336354e05bcf4cb07041be899343",
+    ),
+    "max_zero_xy": (
+        "1860e67f40689cdbb79e5d4e6abe832a3ec8ef0347c05b93accdd856fb99f570",
+        "0c4e3b3f194f56ebe973c13d860e03ee45a503dc26204127e9116fda16b9e871",
+        "89cb90db88f85a16950cca1c6b4cffbe53c4aadb94d2bc1830b1a14c4eccc2ed",
+        "119b9314e5ecc4608e60d1a4bcf549443baf21c6696e6af408002b89992ea198",
+        "15d4068dc3311f80a0fb3ffc0f1d98d45ec20bdb8a22cd509d61f52235513068",
+        "15d4068dc3311f80a0fb3ffc0f1d98d45ec20bdb8a22cd509d61f52235513068",
+    ),
+    "random_tri_7": (
+        "0aebf1a6828f024e6f1e4043ec7cbcf1060f2130e3d1423468f2a9002db3939b",
+        "26e70e8384fa3ef0d495b08392948c44e32d4fe98a592d6eab20878cf0f253f7",
+        "4109a0af100fa4e3911b75bbf8d8a273ce5b7a5064893a8ccf0767013a86db95",
+        "b38c4feb6618132b373fe8793160177d9cbddda43a6fb3704ff0b57d3f31476d",
+        "a4e5fa021663d6045616f5aabb5ef38d10f6eafb5c55fd74d2e6f44126adea65",
+        "a4e5fa021663d6045616f5aabb5ef38d10f6eafb5c55fd74d2e6f44126adea65",
+    ),
+    "ring_bump": (
+        "fea05db869729fb397e0b6068413631d8acd62e9537207d355aab45dfaddb479",
+        "700cedad91861eb057578f71c4bd1a334c42914a4ae679d2542431049e7eac8c",
+        "658756bd3cb0c2ce30b403cdb2d03691a517964e41cbe0fcea5aedd1052327e9",
+        "b3dcfd029dc9aece62f0f01e292922e23398bac8e2419a2abe4574831859555a",
+        "501a37f34ea3581cb6c0def33b1507dc62e86c35636dba13890000a20aa44d1a",
+        "501a37f34ea3581cb6c0def33b1507dc62e86c35636dba13890000a20aa44d1a",
+    ),
+    "single_piece": (
+        "83873be83ab0792bc5d6d47d922ab2f94683ce6aaa3e67c64bbf35f3dc01b740",
+        "38b576e0e2122c3166a56c23beda8297683c7418224f4a56ecd82b4f5b52a3e8",
+        "b676cd829bffd34c4de50373ad8161f5ad063b9036ba1986c6e4c622eb40c13b",
+        "17420648a008ad01358ce0f066de8d7d204fa914340da8524508d0807c7274f9",
+        "c9f92a2ffd916164bdcc0b13c228b5741ea06ab766a63fc808f7c54c60d5e9b5",
+        "c9f92a2ffd916164bdcc0b13c228b5741ea06ab766a63fc808f7c54c60d5e9b5",
+    ),
+    "square_hole": (
+        "4cbb8c4b153796057757e17b6556396dd4780497d2413beff3bddb91bc4148fd",
+        "058a4eb8b2f1c8f290077c624e16d6d36ba37d3b9c6b18bdba571c66c56fcdc5",
+        "1a5e1f92cc56d4def6511e7a0bae181b31dc66a6aae104b40e4dbc0d301c6985",
+        "17420648a008ad01358ce0f066de8d7d204fa914340da8524508d0807c7274f9",
+        "1f2559877624700919010980732bf863f10344666424fc53fe68f580a2a33326",
+        "05533441c6d1e90cb440e2ef7d72c1b348808fe7bff88874c755e73cdf8be6c0",
+    ),
+    "strip": (
+        "e1f60c18b5113a4250472b3aee304b345070c7a1784c4356fb26d4b834957e04",
+        "d80d3627bc169ed7843466a514827e3263758b9ca00a03b1ecb53d25bcd99d11",
+        "6d8eb85e348e79acc071fe4f558a1912715c0cd8f020aa208370b6e42f90ec53",
+        "32c40ea93653f62562daa808b174010e61ba6261ad9e408bfcf2dc9b8af7c047",
+        "adcb017591ece42b79b53483963909173240f018a6bc2ebbd4f8e9a26a011366",
+        "adcb017591ece42b79b53483963909173240f018a6bc2ebbd4f8e9a26a011366",
+    ),
+}
+
+
+def _sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_outputs_are_byte_identical(name, corpus_docs):
+    doc = corpus_docs[name]
+    slim = model.sparsify(model.parse_instance(doc))
+    dec = decompose(slim)
+    terms = maxform.reduce(dec, slim.p)
+    net = network.build_network(terms)
+    got = (
+        _sha(network.export_network(net)),
+        _sha(decomposition_to_json(dec)),
+        _sha(model.serialize_instance(slim)),
+        _sha(verify.verify_equivalence(slim, dec, terms, net, n=200,
+                                       seed=0).canonical_bytes()),
+        _sha(verify.verify_lemma_suite(model.parse_instance(doc),
+                                       n=100).canonical_bytes()),
+        _sha(verify.verify_lemma_suite(model.sparsify(model.parse_instance(doc)),
+                                       n=100).canonical_bytes()),
+    )
+    assert dict(zip(OUTPUTS, got)) == dict(zip(OUTPUTS, DIGESTS[name]))
+
+
+def test_digests_cover_the_corpus():
+    assert sorted(DIGESTS) == sorted(corpus.all_documents())

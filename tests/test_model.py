@@ -8,7 +8,7 @@ import pytest
 from cpa2relu import corpus, maxform, model, network
 from cpa2relu.decompose import decompose
 from cpa2relu.errors import (
-    ContinuityError, DanglingRefError, SchemaError,
+    ContinuityError, DanglingRefError, InvalidInputError, SchemaError,
 )
 from cpa2relu.geometry import Line, Segment, pt
 from cpa2relu.verify import sample_general_position
@@ -257,6 +257,70 @@ def test_sparsify_merges_collinear_segments(corpus_docs):
     hat = model.parse_instance(corpus_docs["hat"])
     for x in sample_general_position(inst, 6, 100):
         assert model.eval_cpa(slim, x) == model.eval_cpa(hat, x)
+
+
+def _split_hat(corpus_docs) -> dict:
+    """hat with NE cut by a phantom segment from the middle m of spoke
+    sp_e to n.  Pieces NE1 and NE2 carry NE's affine; sp_e becomes ea
+    (m to the apex) and eb (m to e)."""
+    doc = copy.deepcopy(corpus_docs["hat"])
+    doc["vertices"]["m"] = ["1/2", 0]
+    del doc["edges"]["sp_e"]
+    doc["edges"].update({
+        "ea": {"kind": "segment", "a": "m", "b": "a", "pieces": ["NE1", "SE"]},
+        "eb": {"kind": "segment", "a": "m", "b": "e", "pieces": ["NE2", "SE"]},
+        "ph": {"kind": "segment", "a": "m", "b": "n", "pieces": ["NE1", "NE2"]},
+    })
+    doc["edges"]["sp_n"]["pieces"] = ["NW", "NE1"]
+    doc["edges"]["sd_en"]["pieces"] = ["NE2", "OUT"]
+    ne = doc["pieces"].pop("NE")
+    doc["pieces"]["NE1"] = dict(ne, boundary=[
+        {"kind": "cycle", "edges": ["ea", "ph", "sp_n"]}])
+    doc["pieces"]["NE2"] = dict(ne, witness=["1/2", "1/3"], boundary=[
+        {"kind": "cycle", "edges": ["eb", "sd_en", "ph"]}])
+    doc["pieces"]["SE"]["boundary"] = [
+        {"kind": "cycle", "edges": ["sp_s", "sd_se", "eb", "ea"]}]
+    return doc
+
+
+def test_sparsify_orients_merged_edges_in_retraced_pieces(corpus_docs):
+    # NE1 and NE2 merge, so NE1 is retraced.  m is then a straight
+    # degree-2 vertex, and ea + eb join into m0 = Segment(a, e), which
+    # runs against ea: the retrace must flip ea's orientation.
+    inst = model.parse_instance(_split_hat(corpus_docs))
+    assert model.validate(inst).ok
+    slim = model.sparsify(inst)
+    assert slim.edges["m0"].geom == Segment(pt(0, 0), pt(1, 0))
+    assert slim.pieces["NE1"].boundary == (
+        model.BoundaryComponent("cycle", ("m0", "sd_en", "sp_n")),)
+    assert model.validate(slim).ok
+    hat = model.parse_instance(corpus_docs["hat"])
+    for x in sample_general_position(inst, 8, 60):
+        assert model.eval_cpa(slim, x) == model.eval_cpa(hat, x)
+
+
+def test_edge_sides_and_vertex_star(corpus_insts):
+    inst = corpus_insts["hat"]
+    # sp_e runs from a to e: NE lies to its left, SE to its right
+    assert model.edge_sides(inst, "sp_e") == ("NE", "SE")
+    # sd_en runs from e to n: the rim's outside is on its right
+    assert model.edge_sides(inst, "sd_en") == ("NE", "OUT")
+    star = model.vertex_star(inst, "a")
+    assert [(d.dx, d.dy) for d, _, _ in star] == [
+        (1, 0), (0, 1), (-1, 0), (0, -1)]
+    assert [(ccw, cw) for _, ccw, cw in star] == [
+        ("NE", "SE"), ("NW", "NE"), ("SW", "NW"), ("SE", "SW")]
+    # at n, sp_n and sd_en arrive at their end b, so their left pieces
+    # are clockwise; sd_nw leaves n along its own direction
+    assert [(ccw, cw) for _, ccw, cw in model.vertex_star(inst, "n")] == [
+        ("NW", "OUT"), ("NE", "NW"), ("OUT", "NE")]
+
+
+def test_edge_sides_rejects_a_piece_that_does_not_flip(corpus_docs):
+    doc = copy.deepcopy(corpus_docs["hat"])
+    doc["edges"]["sp_e"]["pieces"] = ["NW", "SE"]
+    with pytest.raises(InvalidInputError):
+        model.edge_sides(model.parse_instance(doc), "sp_e")
 
 
 def test_sparsify_removes_phantom_creases(corpus_docs):

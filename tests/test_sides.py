@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpa2relu import sides
+from cpa2relu import model, sides
 from cpa2relu.errors import GeneralPositionError
 from cpa2relu.geometry import pt
 from cpa2relu.sides import ConicCoeff
@@ -109,12 +109,5 @@ def test_halfplane_query_on_hull_is_rejected(corpus_insts):
 
 def test_clearances_positive(corpus_insts):
     inst = corpus_insts["ring_bump"]
-    for vid in inst.vertices:
-        assert sides.vertex_clearance_sq(inst, vid) > 0
     for eid in inst.edges:
-        assert sides.edge_clearance_sq(inst, eid) > 0
-
-
-def test_hat_center_clearance(corpus_insts):
-    # distance from the apex to the nearest rim side is 1/sqrt(2)
-    assert sides.vertex_clearance_sq(corpus_insts["hat"], "a") == Fraction(1, 2)
+        assert model.edge_clearance_sq(inst, eid) > 0
