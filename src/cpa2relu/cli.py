@@ -69,24 +69,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("validate", help="run instance admissibility checks")
     c.add_argument("input")
-    c.add_argument("--seed", type=_nonneg, default=0)
 
     c = sub.add_parser("sparsify", help="remove redundant edges and vertices")
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
-    c.add_argument("--seed", type=_nonneg, default=0)
 
     c = sub.add_parser("decompose",
                        help="split into vertex fans, edge functions and tail")
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
-    c.add_argument("--seed", type=_nonneg, default=0)
 
     c = sub.add_parser("compile",
                        help="full pipeline: instance file to network file")
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
-    c.add_argument("--seed", type=_nonneg, default=0)
     c.add_argument("--float-mirror", action="store_true",
                    help="embed a float64 copy of the weights")
 
@@ -170,9 +166,9 @@ def _load_instance(path: str):
         return parse_instance(fh.read())
 
 
-def _validated(path: str, seed: int):
+def _validated(path: str):
     inst = _load_instance(path)
-    report = validate(inst, seed=seed)
+    report = validate(inst)
     if not report.ok:
         for check in report.checks:
             for msg in check.failures:
@@ -183,13 +179,13 @@ def _validated(path: str, seed: int):
 
 def _cmd_validate(cfg: CliConfig) -> int:
     inst = _load_instance(cfg.input_path)
-    report = validate(inst, seed=cfg.seed)
+    report = validate(inst)
     print(json.dumps(report.to_json(), indent=1, sort_keys=True))
     return 0 if report.ok else 1
 
 
 def _cmd_sparsify(cfg: CliConfig) -> int:
-    inst = _validated(cfg.input_path, cfg.seed)
+    inst = _validated(cfg.input_path)
     slim = sparsify(inst, skip_validation=True)
     _write_json(cfg.output_path, serialize_instance(slim))
     print(f"{len(inst.pieces)} pieces / {len(inst.edges)} edges -> "
@@ -199,7 +195,7 @@ def _cmd_sparsify(cfg: CliConfig) -> int:
 
 
 def _cmd_decompose(cfg: CliConfig) -> int:
-    inst = _validated(cfg.input_path, cfg.seed)
+    inst = _validated(cfg.input_path)
     slim = sparsify(inst, skip_validation=True)
     dec = decompose(slim)
     _write_json(cfg.output_path, decomposition_to_json(dec))
@@ -209,7 +205,7 @@ def _cmd_decompose(cfg: CliConfig) -> int:
 
 
 def _compile(cfg: CliConfig):
-    inst = _validated(cfg.input_path, cfg.seed)
+    inst = _validated(cfg.input_path)
     slim = sparsify(inst, skip_validation=True)
     dec = decompose(slim)
     terms = reduce_terms(dec, slim.p)

@@ -434,7 +434,7 @@ def random_instance(seed: int = DEFAULT_RANDOM_SEED, n_points: int = 10,
         if doc is None:
             continue
         inst = parse_instance(doc)
-        if validate(inst, n_cover=64).ok:
+        if validate(inst).ok:
             return doc
     raise RetriesExhaustedError(
         f"no valid random instance after {max_attempts} attempts (seed {seed})")

@@ -30,7 +30,7 @@ class OnBoundaryError(CpaError):
 
 
 class RetriesExhaustedError(CpaError):
-    """Every rerouted witness path stayed degenerate."""
+    """A seeded generator ran out of attempts without a valid draw."""
 
 
 class SamplingStalledError(CpaError):

@@ -1,9 +1,10 @@
 """Exact plane geometry over rationals.
 
 Everything in this module is computed with fractions.Fraction; no floats,
-no epsilons.  Degenerate configurations are reported explicitly (the
-DEGENERATE sentinel, or DuplicateDirectionError) instead of being resolved
-by perturbation.
+no epsilons.  Two equal directions at a vertex raise
+DuplicateDirectionError.  Crossing parity, where a path may touch a
+vertex or run along an edge, lives in model._parity, which resolves such
+positions by symbolic perturbation.
 """
 from __future__ import annotations
 
@@ -51,13 +52,13 @@ def sign(r) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: Rat
     y: Rat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Direction:
     """A nonzero displacement.  Never normalized; compared by cross/dot."""
 
@@ -186,58 +187,6 @@ def on_edge(x: Point, e: EdgeGeom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Crossings
-
-class _Degenerate:
-    """Sentinel for a crossing parity whose path is not generic."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DEGENERATE"
-
-    def __bool__(self):
-        raise TypeError("DEGENERATE is not a count; test identity against it")
-
-
-DEGENERATE = _Degenerate()
-
-
-def _hull_intersection(e: EdgeGeom, s: Point, t: Point) -> Point:
-    """Intersection of segment s-t with the hull of e.
-
-    Caller guarantees s and t lie strictly on opposite sides.
-    """
-    p = edge_base(e)
-    d = edge_direction(e)
-    num = cross(d, sub(s, p))
-    den = cross(d, sub(s, p)) - cross(d, sub(t, p))
-    lam = num / den
-    return Point(s.x + lam * (t.x - s.x), s.y + lam * (t.y - s.y))
-
-
-def _crossing_on_edge(e: EdgeGeom, z: Point):
-    """Classify a transversal hull crossing at z: 1 counts, 0 misses the
-    edge, DEGENERATE hits an endpoint of the edge."""
-    if isinstance(e, Line):
-        return 1
-    if isinstance(e, Ray):
-        if z == e.v:
-            return DEGENERATE
-        return 1 if dot(sub(z, e.v), e.d) > 0 else 0
-    if z == e.a or z == e.b:
-        return DEGENERATE
-    d = sub(e.b, e.a)
-    t = dot(sub(z, e.a), d)
-    return 1 if 0 < t < dot(d, d) else 0
-
-
-# ---------------------------------------------------------------------------
 # CCW ordering of directions
 
 def _half(d: Direction) -> int:
@@ -299,32 +248,6 @@ def sector_midpoint_direction(start: Direction, end: Direction) -> Direction:
     if in_ccw_sector(start, end, s):
         return s
     return -s
-
-
-def dist_sq_point_edge(q: Point, e: EdgeGeom) -> Rat:
-    """Squared Euclidean distance from q to the point set of e."""
-    base = edge_base(e)
-    d = edge_direction(e)
-    t = dot(sub(q, base), d) / dot(d, d)
-    if isinstance(e, Segment):
-        t = min(max(t, Fraction(0)), Fraction(1))
-    elif isinstance(e, Ray):
-        t = max(t, Fraction(0))
-    z = translate(base, d, t)
-    dv = sub(q, z)
-    return dv.dx * dv.dx + dv.dy * dv.dy
-
-
-def shrink_to_disk(d: Direction, max_norm_sq: Rat) -> Direction:
-    """Scale d by a power of 1/2 until its squared norm is at most
-    max_norm_sq.  Rational throughout, so exact predicates stay exact."""
-    if max_norm_sq <= 0:
-        raise ValueError("max_norm_sq must be positive")
-    n = dot(d, d)
-    s = Fraction(1)
-    while n * s * s > max_norm_sq:
-        s /= 2
-    return Direction(d.dx * s, d.dy * s)
 
 
 # ---------------------------------------------------------------------------

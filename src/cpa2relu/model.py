@@ -4,7 +4,8 @@ sparsification and exact evaluation.
 An instance is a subdivision of the plane into closed polygonal pieces
 (possibly unbounded, possibly with holes) with one affine function per
 piece.  Membership of a point in a piece is decided by the crossing
-parity of a generic path to the piece's interior witness point.
+parity of the segment to the piece's interior witness point, with every
+degenerate position resolved by symbolic perturbation (_parity).
 """
 from __future__ import annotations
 
@@ -20,12 +21,10 @@ from .errors import (
     DanglingRefError,
     InvalidInputError,
     NoPieceFoundError,
-    RetriesExhaustedError,
     SamplingStalledError,
     SchemaError,
 )
 from .geometry import (
-    DEGENERATE,
     Direction,
     EdgeGeom,
     Line,
@@ -33,12 +32,9 @@ from .geometry import (
     Rat,
     Ray,
     Segment,
-    _crossing_on_edge,
-    _hull_intersection,
     away_direction,
     ccw_sort_directions,
     cross,
-    dist_sq_point_edge,
     dot,
     edge_base,
     edge_direction,
@@ -51,16 +47,13 @@ from .geometry import (
     rat_from_json,
     rat_to_json,
     same_direction,
-    shrink_to_disk,
+    sign,
     sub,
     translate,
 )
 
-N_COVER = 256
 MAX_SAMPLE_REJECTS = 10_000
 SAMPLE_DENOMINATORS = (1, 1 << 16)
-DETOUR_DENOMINATORS = (2, 256)
-PARITY_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -186,7 +179,7 @@ class CPAInstance:
 
     def piece_lines(self, pid: str) -> list:
         """(int_line, geom) of every boundary edge of the piece, the
-        form _path_parity takes."""
+        form _parity takes."""
         lines = self._piece_lines.get(pid)
         if lines is None:
             lines = self.edge_lines(self.piece_edges[pid])
@@ -360,45 +353,79 @@ def serialize_instance(inst: CPAInstance) -> dict:
 # ---------------------------------------------------------------------------
 # Membership by crossing parity
 
-def _path_parity(lines, path: list[Point]):
-    """Crossing parity of a polyline against a set of edges, each given
-    as an (int_line, geom) pair.
+GENERIC = ((1, 0), (0, 1))
 
-    Returns 0/1, or DEGENERATE when an interior path vertex or a whole
-    path segment lies on some hull, or a crossing hits an edge endpoint.
-    A path *endpoint* merely touching a hull (while off the edge itself)
-    contributes nothing and is fine; endpoints on an edge are the
-    caller's to exclude.
+
+def _tiebreak(A: int, B: int, nudge) -> int:
+    """Sign of A*x + B*y + C at a point on that line once the point moves
+    by eps*n1 + eps**2*n2: the first nonzero of (A, B).n1 and (A, B).n2."""
+    (u1, v1), (u2, v2) = nudge
+    return sign(A * u1 + B * v1) or sign(A * u2 + B * v2)
+
+
+def _parity(lines, x: Point, w: Point, nudge=GENERIC) -> int:
+    """Crossing parity (0 or 1) of the segment x-w against edges given as
+    (int_line, geom) pairs.
+
+    Both endpoints move by eps*n1 + eps**2*n2, nudge = (n1, n2) two
+    independent integer vectors, for an infinitesimal eps > 0 (simulation
+    of simplicity, Edelsbrunner and Muecke 1990).  The moved segment
+    then touches no vertex and runs along no edge, so every position
+    gives an answer and no path is retried.  A sign that vanishes at
+    eps = 0 is read off the first nonzero term of the motion; the moved
+    segment crosses an edge when its endpoints lie on opposite sides of
+    the edge's line and, for a segment, its endpoints on opposite sides
+    of the moved segment's line, or, for a ray, its apex on the side
+    the direction points away from.  Integer arithmetic only.
     """
-    ipath = [int_point(q) for q in path]
+    if x == w:
+        return 0
+    ix, iw = int_point(x), int_point(w)
+    through = None
     count = 0
     for (A, B, C), geom in lines:
-        sides = [kernels.line_sign(A, B, C, *ip) for ip in ipath]
-        if any(s == 0 for s in sides[1:-1]):
-            return DEGENERATE
-        for i in range(len(path) - 1):
-            s0, s1 = sides[i], sides[i + 1]
-            if s0 == 0 and s1 == 0:
-                return DEGENERATE
-            if s0 == 0 or s1 == 0 or s0 == s1:
+        sx = kernels.line_sign(A, B, C, *ix)
+        sw = kernels.line_sign(A, B, C, *iw)
+        if sx == sw:
+            continue
+        if not (sx and sw):
+            t = _tiebreak(A, B, nudge)
+            if (sx or t) == (sw or t):
                 continue
-            z = _hull_intersection(geom, path[i], path[i + 1])
-            c = _crossing_on_edge(geom, z)
-            if c is DEGENERATE:
-                return DEGENERATE
-            count += c
+        if isinstance(geom, Line):
+            count += 1
+            continue
+        if through is None:
+            # A2*x + B2*y + C2 is zero on the line through x and w and
+            # positive to its left; an edge endpoint on it sees that line
+            # move by the nudge, so its tiebreak is negated.
+            (xn, xd, yn, yd), (wxn, wxd, wyn, wyd) = ix, iw
+            dxn, dyn = wxn * xd - xn * wxd, wyn * yd - yn * wyd
+            A2, B2 = -dyn * xd * wxd, dxn * yd * wyd
+            C2 = dyn * wxd * xn - dxn * wyd * yn
+            through = (A2, B2, C2, -_tiebreak(A2, B2, nudge))
+        A2, B2, C2, t2 = through
+        if isinstance(geom, Segment):
+            sa = kernels.line_sign(A2, B2, C2, *int_point(geom.a)) or t2
+            sb = kernels.line_sign(A2, B2, C2, *int_point(geom.b)) or t2
+            count += sa != sb
+        else:
+            # the ray runs along (B, -A); it meets the line ahead of its
+            # apex when the apex lies on the side the ray points away from
+            sv = kernels.line_sign(A2, B2, C2, *int_point(geom.v)) or t2
+            count += sv != sign(A2 * B - B2 * A)
     return count & 1
 
 
-def _random_box_point(box: tuple[Rat, Rat, Rat, Rat], rng: random.Random,
-                      dens: tuple[int, int]) -> Point:
+def _random_box_point(box: tuple[Rat, Rat, Rat, Rat],
+                      rng: random.Random) -> Point:
     """A random rational point of the closed box.  Each coordinate draws
-    its denominator uniformly from the range dens, then its numerator
-    among the multiples of 1/den inside the box."""
+    its denominator uniformly from SAMPLE_DENOMINATORS, then its
+    numerator among the multiples of 1/den inside the box."""
     xmin, ymin, xmax, ymax = box
     coords = []
     for lo, hi in ((xmin, xmax), (ymin, ymax)):
-        den = rng.randint(*dens)
+        den = rng.randint(*SAMPLE_DENOMINATORS)
         nlo = -((-lo.numerator * den) // lo.denominator)
         nhi = (hi.numerator * den) // hi.denominator
         if nlo > nhi:
@@ -407,36 +434,13 @@ def _random_box_point(box: tuple[Rat, Rat, Rat, Rat], rng: random.Random,
     return Point(*coords)
 
 
-def _parity_between(lines, x: Point, w: Point,
-                    box: tuple[Rat, Rat, Rat, Rat]) -> int:
-    """Crossing parity of a generic path from x to w against the edges.
-
-    The straight path goes first; while it is degenerate, the path is
-    rerouted through a random point of box, drawn from a fixed seed.  x
-    and w must lie off every edge; they may touch hulls, since rerouting
-    never moves them.
-    """
-    if x == w:
-        return 0
-    path = [x, w]
-    rng: random.Random | None = None
-    for _ in range(PARITY_RETRIES):
-        par = _path_parity(lines, path)
-        if par is not DEGENERATE:
-            return par
-        if rng is None:
-            rng = random.Random(0)
-        via = _random_box_point(box, rng, DETOUR_DENOMINATORS)
-        if via == x or via == w:
-            continue
-        path = [x, via, w]
-    raise RetriesExhaustedError(f"no generic path from {x} to {w}")
-
-
-def _member_core(inst: CPAInstance, pid: str, x: Point) -> bool:
-    """Parity membership of x in a piece.  x must be off the boundary."""
-    return _parity_between(inst.piece_lines(pid), x, inst.pieces[pid].witness,
-                           inst.bbox()) == 0
+def _member_core(inst: CPAInstance, pid: str, x: Point,
+                 nudge=GENERIC) -> bool:
+    """Whether x, moved by the nudge (see _parity), lies in the piece:
+    even crossing parity to the piece's witness.  x must be off the
+    piece's boundary, or the nudge must carry it off."""
+    return _parity(inst.piece_lines(pid), x, inst.pieces[pid].witness,
+                   nudge) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -450,42 +454,34 @@ def _edge_interior_point(g: EdgeGeom) -> Point:
     return translate(edge_base(g), g.d)
 
 
-def edge_clearance_sq(inst: CPAInstance, edge_id: str) -> Rat:
-    """Squared distance from the edge's interior point to every other
-    edge and every vertex."""
-    m = _edge_interior_point(inst.edges[edge_id].geom)
-    d2s = [dist_sq_point_edge(m, e.geom)
-           for eid, e in inst.edges.items() if eid != edge_id]
-    for u in inst.vertices.values():
-        d = sub(m, u)
-        if d.dx or d.dy:
-            d2s.append(d.dx ** 2 + d.dy ** 2)
-    return min(d2s, default=Fraction(1))
-
-
 def edge_sides(inst: CPAInstance, eid: str) -> tuple[str, str]:
     """(left, right): the declared pieces on the positive and on the
-    negative side of inst.int_line(eid).
+    negative side of inst.int_line(eid) = (A, B, C).
 
-    The only membership probe beside an edge: the edge's first piece is
-    tested just off its interior point on both sides, closer than any
-    other edge or vertex.  Raises InvalidInputError when that piece
-    does not flip across the edge.  Cached per edge.
+    The only membership probe beside an edge: both declared pieces are
+    tested at the edge's interior point nudged to the left of the edge,
+    by eps*(A, B) + eps**2*(-B, A).  Raises InvalidInputError when the
+    edge is missing from either piece's boundary, or when both pieces
+    give the same answer there.  Cached per edge.
     """
     sides = inst._edge_sides.get(eid)
     if sides is not None:
         return sides
     e = inst.edges[eid]
-    A, B, C = inst.int_line(eid)
-    m = _edge_interior_point(e.geom)
-    off = shrink_to_disk(Direction(Fraction(A), Fraction(B)),
-                         edge_clearance_sq(inst, eid) / 4)
     q, r = e.pieces
-    in_plus = _member_core(inst, q, Point(m.x + off.dx, m.y + off.dy))
-    in_minus = _member_core(inst, q, Point(m.x - off.dx, m.y - off.dy))
-    if in_plus == in_minus:
-        raise InvalidInputError(f"piece {q} does not flip across edge {eid}")
-    sides = (q, r) if in_plus else (r, q)
+    for pid in e.pieces:
+        if eid not in inst.piece_edges[pid]:
+            raise InvalidInputError(
+                f"edge {eid} is missing from the boundary of piece {pid}")
+    A, B, _ = inst.int_line(eid)
+    m = _edge_interior_point(e.geom)
+    nudge = ((A, B), (-B, A))
+    in_q = _member_core(inst, q, m, nudge)
+    in_r = _member_core(inst, r, m, nudge)
+    if in_q == in_r:
+        raise InvalidInputError(
+            f"pieces {q} and {r} are not on opposite sides of edge {eid}")
+    sides = (q, r) if in_q else (r, q)
     inst._edge_sides[eid] = sides
     return sides
 
@@ -558,7 +554,7 @@ def _sample_off_hulls(inst: CPAInstance, rng: random.Random,
     out: list[Point] = []
     rejects = 0
     while len(out) < n:
-        q = _random_box_point(box, rng, SAMPLE_DENOMINATORS)
+        q = _random_box_point(box, rng)
         ip = int_point(q)
         if any(kernels.line_sign(A, B, C, *ip) == 0 for (A, B, C) in lines):
             rejects += 1
@@ -684,10 +680,13 @@ def _chain_check(inst: CPAInstance, pid: str, comp: BoundaryComponent) -> list[s
     return errs
 
 
-def validate(inst: CPAInstance, n_cover: int = N_COVER,
-             seed: int = 0) -> ValidationReport:
+def validate(inst: CPAInstance) -> ValidationReport:
     """Run all instance admissibility checks and collect the outcomes.
-    seed draws the cover check's sample points."""
+
+    Every check is exact; none samples.  Witness separation probes the
+    first piece's witness against each other piece, and the cover check
+    orients every edge with edge_sides: (p - 1) + 2|E| membership probes.
+    """
     checks: list[CheckResult] = []
 
     # (a) continuity: adjacent affines agree on each edge's hull
@@ -752,35 +751,31 @@ def validate(inst: CPAInstance, n_cover: int = N_COVER,
                 break
     checks.append(CheckResult("boundary_components", not fails, fails))
 
-    # (e) witnesses of distinct pieces are separated by the boundary
+    # (e) and (f) prove, given (b) and (d), that every point off the
+    # edges lies in exactly one piece.  Membership in a piece is the
+    # crossing parity against its boundary, so by (b) crossing an edge
+    # flips membership in exactly the edge's two declared pieces.  (e):
+    # the first piece's witness, off every hull by (d), lies in that
+    # piece and in no other.  (f): each edge has its two pieces on
+    # opposite sides, so on either side exactly one of them holds the
+    # point, and crossing the edge keeps the count of pieces holding it
+    # at one.  Faces of the plane minus the edges are connected through
+    # edge crossings, so by induction from the witness's face every
+    # face, and every point off the edges, lies in exactly one piece.
     fails = []
-    pids = sorted(inst.pieces)
-    for pid in pids:
-        for qid in pids:
-            if pid == qid:
-                continue
-            try:
-                inside = _member_core(inst, pid, inst.pieces[qid].witness)
-            except RetriesExhaustedError:
-                fails.append(f"no generic path between witnesses of {pid}, {qid}")
-                continue
-            if inside:
-                fails.append(f"witness of {qid} is not separated from {pid}")
+    first, *others = inst.pieces
+    w = inst.pieces[first].witness
+    for pid in others:
+        if _member_core(inst, pid, w):
+            fails.append(f"witness of {first} is not separated from {pid}")
     checks.append(CheckResult("witness_separation", not fails, fails))
 
-    # (f) random general-position points belong to exactly one piece
     fails = []
-    try:
-        samples = _sample_off_hulls(inst, random.Random(seed), n_cover)
-    except SamplingStalledError as exc:
-        samples = []
-        fails.append(str(exc))
-    for q in samples:
-        hits = [pid for pid in pids if _member_core(inst, pid, q)]
-        if len(hits) != 1:
-            fails.append(f"point {q} lies in pieces {hits}")
-            if len(fails) > 5:
-                break
+    for eid in inst.edges:
+        try:
+            edge_sides(inst, eid)
+        except InvalidInputError as exc:
+            fails.append(str(exc))
     checks.append(CheckResult("cover", not fails, fails))
 
     return ValidationReport(checks)

@@ -30,13 +30,12 @@ from .geometry import (
     same_direction,
     sub,
 )
-from .model import (CPAInstance, _member_core, _parity_between, edge_sides,
-                    vertex_star)
+from .model import CPAInstance, _member_core, _parity, edge_sides, vertex_star
 
 
 def member(inst: CPAInstance, piece_id: str, x: Point) -> bool:
     """True iff x belongs to the (closed) piece, decided by crossing
-    parity of a generic path from x to the piece's witness.
+    parity of the segment from x to the piece's witness.
 
     Boundary points are refused with OnBoundaryError; use eval_cpa for
     function values there.
@@ -128,11 +127,11 @@ class ConicCoeff:
 
 def point_in_cycle(inst: CPAInstance, cycle_edges, x: Point) -> bool:
     """Whether x lies inside the closed region bounded by a single cycle
-    of segment edges (crossing parity against that cycle alone, on a
-    path to a point outside the instance's bounding box)."""
+    of segment edges (crossing parity against that cycle alone, on the
+    segment to a point outside the instance's bounding box)."""
     box = inst.bbox()
     far = Point(box[2] + 1, box[3] + 2)
-    return _parity_between(inst.edge_lines(cycle_edges), x, far, box) == 1
+    return _parity(inst.edge_lines(cycle_edges), x, far) == 1
 
 
 def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:

@@ -176,3 +176,19 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         argv = [str(root / a) if a.startswith("corpus/") else a for a in argv]
         assert cli.run(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's ```python Library block runs as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python", 1)[1]
+    code = code.split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert "bounds_ok" in capsys.readouterr().out
+
+
+def test_seed_is_only_a_verify_and_corpus_flag(corpus_dir, capsys):
+    hat = str(corpus_dir / "hat.json")
+    for argv in (["validate", hat], ["compile", hat, "-o", "net.json"]):
+        assert cli.run(argv + ["--seed", "3"]) == 2
+    capsys.readouterr()

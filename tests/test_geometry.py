@@ -6,13 +6,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from cpa2relu.geometry import (
-    DEGENERATE, Direction, Line, Point, Ray, Segment, ccw_sort_directions,
-    cross, dr, in_ccw_sector, int_line, on_edge, orientation, pt,
-    rat_from_json, rat_to_json, same_direction, sector_midpoint_direction,
-    shrink_to_disk,
+    Direction, Line, Ray, Segment, ccw_sort_directions, dr, in_ccw_sector,
+    int_line, on_edge, orientation, pt, rat_from_json, rat_to_json,
+    same_direction, sector_midpoint_direction, translate,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
-from cpa2relu.model import _parity_between, _path_parity
+from cpa2relu.model import GENERIC, _parity
 
 rats = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 points = st.builds(pt, rats, rats)
@@ -77,37 +76,90 @@ def test_sector_midpoint_lies_in_sector(start, end):
     assert not in_ccw_sector(end, start, mid)
 
 
-@given(st.lists(points, min_size=3, max_size=6, unique=True), points, int_dirs)
+@given(st.lists(points, min_size=3, max_size=6), points, int_dirs)
 def test_closed_loop_crosses_line_evenly(loop, base, d):
-    line = Line(base, d)
-    # parity is defined for endpoints off the edge, and a line is its hull
-    assume(not on_edge(loop[0], line))
-    par = _path_parity([(int_line(line), line)], loop + [loop[0]])
-    assert par is DEGENERATE or par == 0
+    # each loop vertex moves by the same nudge in both of its segments,
+    # so the moved loop is closed and meets the line an even number of
+    # times, wherever the vertices lie
+    lines = [(int_line(Line(base, d)), Line(base, d))]
+    closed = loop + [loop[0]]
+    assert sum(_parity(lines, p, q) for p, q in zip(closed, closed[1:])) % 2 == 0
 
 
-def test_path_parity_tolerates_endpoints_on_hulls():
-    seg = Segment(pt(0, 0), pt(2, 0))
-    ray = Ray(pt(0, 0), dr(1, 0))
-    for edge, touch in ((seg, pt(5, 0)), (seg, pt(-3, 0)), (ray, pt(-2, 0))):
-        lines = [(int_line(edge), edge)]
-        assert _path_parity(lines, [touch, pt(1, 1)]) == 0
-        assert _path_parity(lines, [touch, pt(1, 1), pt(1, -1)]) == 1
-        assert _path_parity(lines, [pt(1, 1), touch, pt(1, -1)]) is DEGENERATE
-    # both endpoints on the hull: the straight path runs along it, and
-    # only a detour, which keeps the endpoints, gives the parity
-    lines = [(int_line(seg), seg)]
-    assert _path_parity(lines, [pt(5, 0), pt(-3, 0)]) is DEGENERATE
-    box = (Fraction(-4), Fraction(-4), Fraction(6), Fraction(4))
-    assert _parity_between(lines, pt(5, 0), pt(-3, 0), box) == 0
+SQUARE = [Segment(pt(0, 0), pt(2, 0)), Segment(pt(2, 0), pt(2, 2)),
+          Segment(pt(2, 2), pt(0, 2)), Segment(pt(0, 2), pt(0, 0))]
+QUADRANT = [Ray(pt(0, 0), dr(1, 0)), Ray(pt(0, 0), dr(0, 1))]
 
 
-@given(int_dirs, st.integers(1, 400))
-def test_shrink_to_disk_preserves_direction(d, cap_num):
-    cap = Fraction(cap_num, 7)
-    s = shrink_to_disk(d, cap)
-    assert same_direction(s, d)
-    assert s.dx * s.dx + s.dy * s.dy <= cap
+def _lines(edges):
+    return [(int_line(g), g) for g in edges]
+
+
+def test_parity_settles_paths_that_needed_detours():
+    seg = _lines(SQUARE[:1])
+    # both endpoints on the hull of a segment, or of a ray, off the edge
+    assert _parity(seg, pt(5, 0), pt(-3, 0)) == 0
+    assert _parity(_lines(QUADRANT[:1]), pt(-2, 0), pt(-5, 0)) == 0
+    # a path through a corner of the square: in, and past it outside
+    square = _lines(SQUARE)
+    assert _parity(square, pt(-1, -1), pt(1, 1)) == 1
+    assert _parity(square, pt(-1, 1), pt(1, -1)) == 0
+    assert _parity(square, pt(3, 3), pt(1, 1)) == 1
+    # a path through the apex of two rays: into the quadrant, and past it
+    quadrant = _lines(QUADRANT)
+    assert _parity(quadrant, pt(-1, -1), pt(1, 1)) == 1
+    assert _parity(quadrant, pt(-1, 1), pt(1, -1)) == 0
+    # a path along a side of the square, through two corners
+    assert _parity(square, pt(-1, 0), pt(3, 0)) == 0
+    # and along a line
+    line = _lines([Line(pt(0, 1), dr(1, 0))])
+    assert _parity(line, pt(-4, 1), pt(7, 1)) == 0
+
+
+T = Fraction(1, 10**9)
+
+
+def _crossings_moved(edges, x, w, nudge):
+    """Crossings of x-w translated by T*n1 + T**2*n2 with the edges,
+    counted with Fraction orientations; rays are cut far beyond the
+    small grid.  Every orientation must be nonzero."""
+    (u1, v1), (u2, v2) = nudge
+    move = Direction(T * u1 + T * T * u2, T * v1 + T * T * v2)
+    x, w = translate(x, move), translate(w, move)
+    count = 0
+    for g in edges:
+        if isinstance(g, Segment):
+            p, q = g.a, g.b
+        else:
+            p = g.v if isinstance(g, Ray) else g.p
+            q = translate(p, g.d, 1000)
+            if isinstance(g, Line):
+                p = translate(p, g.d, -1000)
+        sx, sw = orientation(p, q, x), orientation(p, q, w)
+        sp, sq = orientation(x, w, p), orientation(x, w, q)
+        assert 0 not in (sx, sw, sp, sq)
+        count += sx != sw and sp != sq
+    return count
+
+
+grid = st.builds(pt, st.integers(-3, 3), st.integers(-3, 3))
+small_dirs = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda t: t != (0, 0))
+edges_st = st.one_of(
+    st.tuples(grid, grid).filter(lambda t: t[0] != t[1]).map(
+        lambda t: Segment(*t)),
+    st.builds(Ray, grid, small_dirs.map(lambda t: dr(*t))),
+    st.builds(Line, grid, small_dirs.map(lambda t: dr(*t))),
+)
+nudges = st.one_of(st.just(GENERIC), st.tuples(small_dirs, small_dirs).filter(
+    lambda n: n[0][0] * n[1][1] != n[0][1] * n[1][0]))
+
+
+@given(st.lists(edges_st, max_size=6), grid, grid, nudges)
+def test_parity_matches_a_moved_fraction_count(edges, x, w, nudge):
+    assume(x != w)
+    assert _parity(_lines(edges), x, w, nudge) == \
+        _crossings_moved(edges, x, w, nudge) % 2
 
 
 def test_on_edge_each_kind():

@@ -160,6 +160,32 @@ def test_validate_flags_broken_chain(corpus_docs):
     assert "boundary_components" in _failing_checks(doc)
 
 
+def test_validate_rejects_swapped_strip_witnesses(corpus_docs):
+    doc = copy.deepcopy(corpus_docs["strip"])
+    pieces = doc["pieces"]
+    pieces["L"]["witness"], pieces["R"]["witness"] = (
+        pieces["R"]["witness"], pieces["L"]["witness"])
+    fails = _failing_checks(doc)
+    assert fails and fails <= {"cover", "witness_separation"}
+
+
+def test_validate_rejects_a_witness_in_the_wrong_piece(corpus_docs):
+    doc = copy.deepcopy(corpus_docs["hat"])
+    doc["pieces"]["NE"]["witness"] = ["-1/3", "5/13"]
+    fails = _failing_checks(doc)
+    assert fails and fails <= {"cover", "witness_separation"}
+
+
+def test_validate_probes_each_edge_twice_and_one_witness(monkeypatch):
+    inst = model.parse_instance(corpus.random_instance(3, n_points=40))
+    calls = []
+    core = model._member_core
+    monkeypatch.setattr(model, "_member_core",
+                        lambda *a: calls.append(a) or core(*a))
+    assert model.validate(inst).ok
+    assert len(calls) == (inst.p - 1) + 2 * len(inst.edges) == 252
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

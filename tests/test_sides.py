@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpa2relu import model, sides
+from cpa2relu import sides
 from cpa2relu.errors import GeneralPositionError
 from cpa2relu.geometry import pt
 from cpa2relu.sides import ConicCoeff
@@ -105,9 +105,3 @@ def test_halfplane_query_on_hull_is_rejected(corpus_insts):
     inst = corpus_insts["half_plane"]
     with pytest.raises(GeneralPositionError):
         sides.edge_halfplane_contains(inst, "L", "l", pt(0, 44))
-
-
-def test_clearances_positive(corpus_insts):
-    inst = corpus_insts["ring_bump"]
-    for eid in inst.edges:
-        assert model.edge_clearance_sq(inst, eid) > 0
