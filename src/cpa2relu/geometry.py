@@ -2,9 +2,11 @@
 
 Everything in this module is computed with fractions.Fraction; no floats,
 no epsilons.  Two equal directions at a vertex raise
-DuplicateDirectionError.  Crossing parity, where a path may touch a
-vertex or run along an edge, lives in model._parity, which resolves such
-positions by symbolic perturbation.
+DuplicateDirectionError.  Point-edge questions are decided on an edge's
+integer line (int_line) in model: model.edges_at for whether a point is
+on an edge, model._parity for crossing parity, where degenerate
+positions are resolved by symbolic perturbation.  orientation stays as
+the Fraction reference the tests check those integer predicates against.
 """
 from __future__ import annotations
 
@@ -107,10 +109,6 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
 
 
-def parallel(u: Direction, v: Direction) -> bool:
-    return cross(u, v) == 0
-
-
 def same_direction(u: Direction, v: Direction) -> bool:
     """True when v is a positive multiple of u."""
     return cross(u, v) == 0 and dot(u, v) > 0
@@ -168,24 +166,6 @@ def hull_points(e: EdgeGeom) -> tuple[Point, Point]:
     return p, translate(p, edge_direction(e))
 
 
-def on_affine_hull(x: Point, e: EdgeGeom) -> bool:
-    p, q = hull_points(e)
-    return orientation(p, q, x) == 0
-
-
-def on_edge(x: Point, e: EdgeGeom) -> bool:
-    """Exact membership of x in the edge as a point set (endpoints included)."""
-    if not on_affine_hull(x, e):
-        return False
-    if isinstance(e, Line):
-        return True
-    if isinstance(e, Ray):
-        return dot(sub(x, e.v), e.d) >= 0
-    d = sub(e.b, e.a)
-    t = dot(sub(x, e.a), d)
-    return 0 <= t <= dot(d, d)
-
-
 # ---------------------------------------------------------------------------
 # CCW ordering of directions
 
@@ -208,12 +188,13 @@ def _ccw_cmp(u: Direction, v: Direction) -> int:
     return 0
 
 
-def ccw_sort_directions(center: Point, dirs: list[Direction]) -> list[int]:
+def ccw_sort_directions(center: Point | str,
+                        dirs: list[Direction]) -> list[int]:
     """Permutation sorting directions counterclockwise from the +x axis.
 
-    center is carried for error context only; direction order does not
-    depend on it.  Two equal directions raise DuplicateDirectionError
-    since no strict cyclic order exists then.
+    center, a point or a vertex id, is carried for error context only;
+    direction order does not depend on it.  Two equal directions raise
+    DuplicateDirectionError since no strict cyclic order exists then.
     """
     order = sorted(range(len(dirs)), key=functools.cmp_to_key(
         lambda i, j: _ccw_cmp(dirs[i], dirs[j])))

@@ -41,9 +41,6 @@ from .geometry import (
     hull_points,
     int_line,
     int_point,
-    on_affine_hull,
-    on_edge,
-    orientation,
     rat_from_json,
     rat_to_json,
     same_direction,
@@ -510,17 +507,44 @@ def vertex_star(inst: CPAInstance, vid: str,
     return star
 
 
-def _pieces_at(inst: CPAInstance, x: Point) -> dict[str, Rat]:
-    """Pieces touching x through an edge or vertex, with their values."""
-    found: dict[str, Rat] = {}
+def _span(g: EdgeGeom, A: int, B: int) -> tuple[Rat | None, Rat | None]:
+    """(lo, hi): the positions t(q) = B*q.x - A*q.y that the edge covers
+    along (B, -A), which must be parallel to it; None marks an end at
+    infinity."""
+    if isinstance(g, Line):
+        return (None, None)
+    if isinstance(g, Segment):
+        ta, tb = B * g.a.x - A * g.a.y, B * g.b.x - A * g.b.y
+        return (min(ta, tb), max(ta, tb))
+    tv = B * g.v.x - A * g.v.y
+    return (tv, None) if B * g.d.dx - A * g.d.dy > 0 else (None, tv)
+
+
+def edges_at(inst: CPAInstance, x: Point, edge_ids) -> list[str]:
+    """The edges among edge_ids that contain x, ends included.
+
+    x is on an edge when it is on the edge's int_line (A, B, C) and its
+    position B*x - A*y along the edge lies in the edge's _span.
+    """
     ip = int_point(x)
-    for eid, e in inst.edges.items():
+    found = []
+    for eid in edge_ids:
         A, B, C = inst.int_line(eid)
         if kernels.line_sign(A, B, C, *ip) != 0:
             continue
-        if on_edge(x, e.geom):
-            for pid in e.pieces:
-                found[pid] = inst.pieces[pid].affine(x)
+        lo, hi = _span(inst.edges[eid].geom, A, B)
+        t = B * x.x - A * x.y
+        if (lo is None or lo <= t) and (hi is None or t <= hi):
+            found.append(eid)
+    return found
+
+
+def _pieces_at(inst: CPAInstance, x: Point) -> dict[str, Rat]:
+    """Pieces touching x through an edge or vertex, with their values."""
+    found: dict[str, Rat] = {}
+    for eid in edges_at(inst, x, inst.edges):
+        for pid in inst.edges[eid].pieces:
+            found[pid] = inst.pieces[pid].affine(x)
     return found
 
 
@@ -591,45 +615,47 @@ class ValidationReport:
                             "failures": c.failures} for c in self.checks]}
 
 
-def _edge_param_interval(g: EdgeGeom, base: Point, d: Direction):
-    """Parameter interval of g on the common line (base, d); caller
-    guarantees collinearity.  Returns (lo, hi) with None for infinite."""
+def _reaches(g: EdgeGeom, L: tuple[int, int, int], rate: int) -> bool:
+    """Whether the edge meets the line L = (A, B, C), which it is not
+    parallel to; rate is the sign of A*x + B*y + C's change along the
+    edge's direction."""
+    if isinstance(g, Line):
+        return True
     if isinstance(g, Segment):
-        ta = dot(sub(g.a, base), d)
-        tb = dot(sub(g.b, base), d)
-        return (min(ta, tb), max(ta, tb))
-    if isinstance(g, Ray):
-        tv = dot(sub(g.v, base), d)
-        if dot(g.d, d) > 0:
-            return (tv, None)
-        return (None, tv)
-    return (None, None)
+        # not both ends on L: the edge is not parallel to it
+        return (kernels.line_sign(*L, *int_point(g.a))
+                != kernels.line_sign(*L, *int_point(g.b)))
+    return kernels.line_sign(*L, *int_point(g.v)) != rate
 
 
-def _edges_intersect_cleanly(g1: EdgeGeom, g2: EdgeGeom,
-                             allowed: set[Point]) -> str | None:
-    """None when the two edge point sets meet only at allowed points;
-    otherwise a description of the offending overlap."""
-    d1, d2 = edge_direction(g1), edge_direction(g2)
-    p1, p2 = edge_base(g1), edge_base(g2)
-    c = cross(d1, d2)
-    if c != 0:
-        t = cross(sub(p2, p1), d2) / c
-        z = translate(p1, d1, t)
-        if on_edge(z, g1) and on_edge(z, g2) and z not in allowed:
-            return f"edges cross at {z}"
+def _edges_intersect_cleanly(line1, line2, allowed: set[Point]) -> str | None:
+    """None when two edges, given as (int_line, geom) pairs, meet only
+    at allowed points, the vertices they share; otherwise a description
+    of the offending overlap."""
+    (L1, g1), (L2, g2) = line1, line2
+    (A1, B1, C1), (A2, B2, C2) = L1, L2
+    det = A1 * B2 - B1 * A2
+    if det != 0:
+        # the lines meet in one point, which is any shared vertex
+        k = sign(det)
+        if allowed or not (_reaches(g1, L2, -k) and _reaches(g2, L1, k)):
+            return None
+        z = Point(Fraction(B1 * C2 - B2 * C1, det),
+                  Fraction(A2 * C1 - A1 * C2, det))
+        return f"edges cross at {z}"
+    if kernels.line_sign(*L1, *int_point(edge_base(g2))) != 0:
         return None
-    if not on_affine_hull(p2, g1):
-        return None
-    lo1, hi1 = _edge_param_interval(g1, p1, d1)
-    lo2, hi2 = _edge_param_interval(g2, p1, d1)
+    lo1, hi1 = _span(g1, A1, B1)
+    lo2, hi2 = _span(g2, A1, B1)
     lo = lo1 if lo2 is None else lo2 if lo1 is None else max(lo1, lo2)
     hi = hi1 if hi2 is None else hi2 if hi1 is None else min(hi1, hi2)
     if lo is None or hi is None or lo < hi:
         return "edges overlap along a common line"
     if lo > hi:
         return None
-    z = translate(p1, d1, lo / dot(d1, d1))
+    # the point of line 1 at position lo
+    n = A1 * A1 + B1 * B1
+    z = Point((B1 * lo - A1 * C1) / n, (-A1 * lo - B1 * C1) / n)
     if z not in allowed:
         return f"collinear edges touch at non-vertex {z}"
     return None
@@ -683,9 +709,12 @@ def _chain_check(inst: CPAInstance, pid: str, comp: BoundaryComponent) -> list[s
 def validate(inst: CPAInstance) -> ValidationReport:
     """Run all instance admissibility checks and collect the outcomes.
 
-    Every check is exact; none samples.  Witness separation probes the
-    first piece's witness against each other piece, and the cover check
-    orients every edge with edge_sides: (p - 1) + 2|E| membership probes.
+    Every check is exact; none samples.  Edge pairs and witnesses are
+    checked against the edges' int_lines by integer signs alone; a point
+    is constructed only to report a failure.  Witness separation probes
+    the first piece's witness against each other piece, and the cover
+    check orients every edge with edge_sides: (p - 1) + 2|E| membership
+    probes.
     """
     checks: list[CheckResult] = []
 
@@ -735,18 +764,20 @@ def validate(inst: CPAInstance) -> ValidationReport:
                     fails.append(f"piece {pid}: edge {eid} repeated in boundary")
                 seen.add(eid)
     eids = sorted(inst.edges)
+    lines = dict(zip(eids, inst.edge_lines(eids)))
     for i, e1 in enumerate(eids):
         r1 = inst.edges[e1]
         for e2 in eids[i + 1:]:
             r2 = inst.edges[e2]
             shared = {inst.vertices[v] for v in set(r1.vertex_ids) & set(r2.vertex_ids)}
-            msg = _edges_intersect_cleanly(r1.geom, r2.geom, shared)
+            msg = _edges_intersect_cleanly(lines[e1], lines[e2], shared)
             if msg is not None:
                 fails.append(f"{e1} vs {e2}: {msg}")
     for pid, piece in inst.pieces.items():
         w = piece.witness
+        iw = int_point(w)
         for eid in inst.edges:
-            if on_affine_hull(w, inst.edges[eid].geom):
+            if kernels.line_sign(*inst.int_line(eid), *iw) == 0:
                 fails.append(f"piece {pid}: witness {w} lies on hull of {eid}")
                 break
     checks.append(CheckResult("boundary_components", not fails, fails))
@@ -795,7 +826,7 @@ def _merged_geom(g1: EdgeGeom, g2: EdgeGeom, at: Point) -> EdgeGeom:
     a = g1.b if g1.a == at else g1.a
     if isinstance(g2, Segment):
         b = g2.b if g2.a == at else g2.a
-        if orientation(a, at, b) != 0 or dot(sub(a, at), sub(b, at)) >= 0:
+        if not same_direction(sub(at, a), sub(b, at)):
             raise InvalidInputError("degree-2 segments are not collinear")
         return Segment(a, b)
     if not same_direction(sub(at, a), g2.d):
@@ -811,9 +842,12 @@ def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
     forward[eid] says whether the piece lies on the left of the edge's
     direction (the positive side of its int_line), as edge_sides
     reports it; lines need no entry.  Each line is an arc of its own.
-    The other edges are walked with the piece on the left by the usual
-    clockwise-next turn rule, and the resulting closed or bi-infinite
-    walks are split into simple components at repeated vertices.
+    The other edges are walked with the piece on the left: at each
+    vertex the walk takes the first outgoing edge clockwise of the way
+    back, in the order ccw_sort_directions gives, which raises
+    DuplicateDirectionError when two of those directions coincide.  The
+    resulting closed or bi-infinite walks are split into simple
+    components at repeated vertices.
     """
     geoms = {eid: g for eid, (g, _) in edges.items()}
     vids = {eid: vs for eid, (_, vs) in edges.items()}
@@ -844,35 +878,13 @@ def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
         _, head = tail_head(eid)
         if head is None:
             return None
-        rev = -travel_dir(eid)
         cands = outgoing.get(head, [])
         if not cands:
             raise InvalidInputError(f"boundary walk dead-ends at vertex {head}")
-        # largest CCW angle from rev == first direction clockwise of rev
-
-        def angle_key(ceid: str):
-            d = travel_dir(ceid)
-            if same_direction(rev, d):
-                return (0, 0)
-            c = cross(rev, d)
-            if c > 0:
-                return (1, d)
-            if c == 0:
-                return (2, 0)
-            return (3, d)
-
-        best = None
-        for ceid in sorted(cands):
-            if best is None:
-                best = ceid
-                continue
-            ka, kb = angle_key(best), angle_key(ceid)
-            if kb[0] > ka[0]:
-                best = ceid
-            elif kb[0] == ka[0] and kb[0] in (1, 3):
-                if cross(travel_dir(best), travel_dir(ceid)) > 0:
-                    best = ceid
-        return best
+        # the first outgoing edge clockwise of the way back
+        order = ccw_sort_directions(
+            head, [-travel_dir(eid)] + [travel_dir(c) for c in cands])
+        return cands[order[order.index(0) - 1] - 1]
 
     used: set[str] = set()
 

@@ -26,11 +26,17 @@ from .geometry import (
     Ray,
     in_ccw_sector,
     int_point,
-    on_edge,
     same_direction,
     sub,
 )
-from .model import CPAInstance, _member_core, _parity, edge_sides, vertex_star
+from .model import (
+    CPAInstance,
+    _member_core,
+    _parity,
+    edge_sides,
+    edges_at,
+    vertex_star,
+)
 
 
 def member(inst: CPAInstance, piece_id: str, x: Point) -> bool:
@@ -40,12 +46,9 @@ def member(inst: CPAInstance, piece_id: str, x: Point) -> bool:
     Boundary points are refused with OnBoundaryError; use eval_cpa for
     function values there.
     """
-    ip = int_point(x)
-    for eid in inst.piece_edges[piece_id]:
-        A, B, C = inst.int_line(eid)
-        if kernels.line_sign(A, B, C, *ip) == 0 and on_edge(x, inst.edges[eid].geom):
-            raise OnBoundaryError(
-                f"{x} lies on edge {eid} of piece {piece_id}")
+    on = edges_at(inst, x, inst.piece_edges[piece_id])
+    if on:
+        raise OnBoundaryError(f"{x} lies on edge {on[0]} of piece {piece_id}")
     return _member_core(inst, piece_id, x)
 
 

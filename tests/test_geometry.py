@@ -1,4 +1,5 @@
-"""Exact-predicate properties: orientation, CCW sorting, crossing parity."""
+"""Exact-predicate properties: orientation, CCW sorting, crossing parity,
+points on edges and clean edge intersections."""
 import math
 from fractions import Fraction
 
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from cpa2relu.geometry import (
-    Direction, Line, Ray, Segment, ccw_sort_directions, dr, in_ccw_sector,
-    int_line, on_edge, orientation, pt, rat_from_json, rat_to_json,
-    same_direction, sector_midpoint_direction, translate,
+    Direction, Line, Ray, Segment, ccw_sort_directions, cross, dot, dr,
+    edge_base, edge_direction, in_ccw_sector, int_line, orientation, pt,
+    rat_from_json, rat_to_json, same_direction, sector_midpoint_direction,
+    sub, translate,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
-from cpa2relu.model import GENERIC, _parity
+from cpa2relu.model import (
+    GENERIC, CPAInstance, EdgeRec, _edges_intersect_cleanly, _parity, edges_at,
+)
 
 rats = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 points = st.builds(pt, rats, rats)
@@ -162,19 +166,91 @@ def test_parity_matches_a_moved_fraction_count(edges, x, w, nudge):
         _crossings_moved(edges, x, w, nudge) % 2
 
 
-def test_on_edge_each_kind():
-    seg = Segment(pt(0, 0), pt(2, 2))
-    assert on_edge(pt(1, 1), seg)
-    assert not on_edge(pt(3, 3), seg)  # past the endpoint
-    assert not on_edge(pt(1, 0), seg)
+def test_edges_at_each_kind():
+    o = pt(0, 0)
+    inst = CPAInstance({"o": o, "t": pt(2, 2)}, {
+        "seg": EdgeRec("seg", Segment(o, pt(2, 2)), ("P", "Q"), ("o", "t")),
+        "ray": EdgeRec("ray", Ray(o, dr(1, 1)), ("P", "Q"), ("o",)),
+        "line": EdgeRec("line", Line(o, dr(1, 1)), ("P", "Q"), ()),
+    }, {})
 
-    ray = Ray(pt(0, 0), dr(1, 1))
-    assert on_edge(pt(3, 3), ray)
-    assert not on_edge(pt(-1, -1), ray)
+    def on(x, eid):
+        return edges_at(inst, x, [eid]) == [eid]
 
-    line = Line(pt(0, 0), dr(1, 1))
-    assert on_edge(pt(-1, -1), line)
-    assert not on_edge(pt(0, 1), line)
+    assert on(pt(1, 1), "seg")
+    assert not on(pt(3, 3), "seg")  # past the endpoint
+    assert not on(pt(1, 0), "seg")
+
+    assert on(pt(3, 3), "ray")
+    assert not on(pt(-1, -1), "ray")
+
+    assert on(pt(-1, -1), "line")
+    assert not on(pt(0, 1), "line")
+
+
+def _fraction_on_edge(x, g):
+    p, d = edge_base(g), edge_direction(g)
+    if orientation(p, translate(p, d), x) != 0:
+        return False
+    if isinstance(g, Line):
+        return True
+    if isinstance(g, Ray):
+        return dot(sub(x, p), d) >= 0
+    return 0 <= dot(sub(x, p), d) <= dot(d, d)
+
+
+def _fraction_interval(g, base, d):
+    if isinstance(g, Segment):
+        ta, tb = dot(sub(g.a, base), d), dot(sub(g.b, base), d)
+        return (min(ta, tb), max(ta, tb))
+    if isinstance(g, Ray):
+        tv = dot(sub(g.v, base), d)
+        return (tv, None) if dot(g.d, d) > 0 else (None, tv)
+    return (None, None)
+
+
+def _fraction_clean(g1, g2, allowed):
+    """The Fraction pair check the integer one replaced: the point where
+    the lines meet, or the overlap of parameter intervals along g1."""
+    d1, d2 = edge_direction(g1), edge_direction(g2)
+    p1, p2 = edge_base(g1), edge_base(g2)
+    c = cross(d1, d2)
+    if c != 0:
+        z = translate(p1, d1, cross(sub(p2, p1), d2) / c)
+        if _fraction_on_edge(z, g1) and _fraction_on_edge(z, g2) \
+                and z not in allowed:
+            return f"edges cross at {z}"
+        return None
+    if orientation(p1, translate(p1, d1), p2) != 0:
+        return None
+    lo1, hi1 = _fraction_interval(g1, p1, d1)
+    lo2, hi2 = _fraction_interval(g2, p1, d1)
+    lo = lo1 if lo2 is None else lo2 if lo1 is None else max(lo1, lo2)
+    hi = hi1 if hi2 is None else hi2 if hi1 is None else min(hi1, hi2)
+    if lo is None or hi is None or lo < hi:
+        return "edges overlap along a common line"
+    if lo > hi:
+        return None
+    z = translate(p1, d1, lo / dot(d1, d1))
+    if z not in allowed:
+        return f"collinear edges touch at non-vertex {z}"
+    return None
+
+
+def _ends(g):
+    if isinstance(g, Segment):
+        return {g.a, g.b}
+    return {g.v} if isinstance(g, Ray) else set()
+
+
+@given(edges_st, edges_st, st.booleans())
+def test_clean_intersection_matches_the_fraction_check(g1, g2, shared):
+    # allowed is what validate passes: the vertices the edges share,
+    # or none when coinciding ends belong to different vertices
+    allowed = _ends(g1) & _ends(g2) if shared else set()
+    got = _edges_intersect_cleanly((int_line(g1), g1), (int_line(g2), g2),
+                                   allowed)
+    assert got == _fraction_clean(g1, g2, allowed)
 
 
 @given(rats)

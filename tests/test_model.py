@@ -8,7 +8,8 @@ import pytest
 from cpa2relu import corpus, maxform, model, network
 from cpa2relu.decompose import decompose
 from cpa2relu.errors import (
-    ContinuityError, DanglingRefError, InvalidInputError, SchemaError,
+    ContinuityError, DanglingRefError, DuplicateDirectionError,
+    InvalidInputError, SchemaError,
 )
 from cpa2relu.geometry import Line, Segment, pt
 from cpa2relu.verify import sample_general_position
@@ -176,6 +177,60 @@ def test_validate_rejects_a_witness_in_the_wrong_piece(corpus_docs):
     assert fails and fails <= {"cover", "witness_separation"}
 
 
+def _seg(a, b):
+    return {"kind": "segment", "a": a, "b": b}
+
+
+def _ray(v, d):
+    return {"kind": "ray", "v": v, "d": d}
+
+
+def _line(p, d):
+    return {"kind": "line", "p": p, "d": d}
+
+
+X = "Point(x=Fraction(1, 1), y=Fraction(0, 1))"
+
+
+@pytest.mark.parametrize("vertices, ab, cd, expected", [
+    ({"a": [0, 0], "b": [2, 2], "c": [0, 2], "d": [2, 0]},
+     _seg("a", "b"), _seg("c", "d"),
+     ["ab vs cd: edges cross at Point(x=Fraction(1, 1), y=Fraction(1, 1))"]),
+    ({"a": [0, 0], "b": [2, 0], "c": [1, 0], "d": [1, 2]},
+     _seg("a", "b"), _seg("c", "d"), [f"ab vs cd: edges cross at {X}"]),
+    ({"a": [0, 0], "b": [2, 0], "c": [1, 0], "d": [3, 0]},
+     _seg("a", "b"), _seg("c", "d"),
+     ["ab vs cd: edges overlap along a common line"]),
+    ({"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [2, 0]},
+     _seg("a", "b"), _seg("c", "d"),
+     [f"ab vs cd: collinear edges touch at non-vertex {X}"]),
+    ({"a": [0, 0], "c": [3, 0], "d": [0, 3]},
+     _ray("a", [1, 1]), _seg("c", "d"),
+     ["ab vs cd: edges cross at Point(x=Fraction(3, 2), y=Fraction(3, 2))"]),
+    ({"a": [0, 0], "c": [3, 0], "d": [0, 3]},
+     _ray("a", [-1, -1]), _seg("c", "d"), []),
+    ({"c": [0, 0]}, _line([5, 5], [2, 2]), _ray("c", [-1, -1]),
+     ["ab vs cd: edges overlap along a common line"]),
+    ({}, _line([0, 0], [1, 2]), _line([1, 0], [-2, -4]), []),
+    ({"a": [0, 0], "b": [2, 0], "c": [0, 2]}, _seg("a", "b"), _seg("a", "c"),
+     []),
+    ({"a": [0, 0], "b": [1, 0], "c": [2, 0]}, _seg("a", "b"), _seg("b", "c"),
+     []),
+], ids=["cross", "t_junction", "overlap", "touch", "ray_cross", "ray_away",
+        "line_over_ray", "parallel_lines", "shared_vertex",
+        "collinear_shared_vertex"])
+def test_validate_reports_edges_that_meet_off_shared_vertices(
+        vertices, ab, cd, expected):
+    doc = {"vertices": vertices,
+           "edges": {"ab": dict(ab, pieces=["P", "Q"]),
+                     "cd": dict(cd, pieces=["P", "Q"])},
+           "pieces": {"P": {"affine": [0, 0, 0], "witness": [-7, 19]},
+                      "Q": {"affine": [0, 0, 0], "witness": [17, -5]}}}
+    (check,) = [c for c in model.validate(model.parse_instance(doc)).checks
+                if c.name == "boundary_components"]
+    assert [f for f in check.failures if " vs " in f] == expected
+
+
 def test_validate_probes_each_edge_twice_and_one_witness(monkeypatch):
     inst = model.parse_instance(corpus.random_instance(3, n_points=40))
     calls = []
@@ -323,6 +378,34 @@ def test_sparsify_orients_merged_edges_in_retraced_pieces(corpus_docs):
     hat = model.parse_instance(corpus_docs["hat"])
     for x in sample_general_position(inst, 8, 60):
         assert model.eval_cpa(slim, x) == model.eval_cpa(hat, x)
+
+
+def test_boundary_retrace_turns_clockwise_at_a_shared_vertex():
+    # two triangles touching at o, each walked counterclockwise: arriving
+    # at o, each walk leaves on its own triangle's edge, the first
+    # outgoing edge clockwise of the way back
+    o, p, q, r, s = pt(0, 0), pt(2, 1), pt(1, 2), pt(-2, -1), pt(-1, -2)
+    edges = {"a1": (Segment(p, q), ("p", "q")),
+             "a2": (Segment(q, o), ("q", "o")),
+             "a3": (Segment(o, p), ("o", "p")),
+             "b1": (Segment(r, s), ("r", "s")),
+             "b2": (Segment(s, o), ("s", "o")),
+             "b3": (Segment(o, r), ("o", "r"))}
+    assert model._trace_components(edges, dict.fromkeys(edges, True)) == [
+        model.BoundaryComponent("cycle", ("a1", "a2", "a3")),
+        model.BoundaryComponent("cycle", ("b1", "b2", "b3"))]
+
+
+def test_boundary_retrace_rejects_edges_leaving_a_vertex_together():
+    # triangle q -> o -> p -> q with the piece on the left, plus e4 from
+    # o along e2: at o the walk has no strict clockwise order to follow
+    o, p, q, r = pt(0, 0), pt(2, 0), pt(0, 2), pt(1, 0)
+    edges = {"e1": (Segment(q, o), ("q", "o")),
+             "e2": (Segment(o, p), ("o", "p")),
+             "e3": (Segment(p, q), ("p", "q")),
+             "e4": (Segment(o, r), ("o", "r"))}
+    with pytest.raises(DuplicateDirectionError):
+        model._trace_components(edges, dict.fromkeys(edges, True))
 
 
 def test_edge_sides_and_vertex_star(corpus_insts):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cpa2relu import sides
-from cpa2relu.errors import GeneralPositionError
+from cpa2relu.errors import GeneralPositionError, OnBoundaryError
 from cpa2relu.geometry import pt
 from cpa2relu.sides import ConicCoeff
 from cpa2relu.verify import sample_general_position
@@ -83,6 +83,18 @@ def test_membership_of_witnesses(corpus_insts):
     for pid, piece in inst.pieces.items():
         for qid in inst.pieces:
             assert sides.member(inst, qid, piece.witness) == (qid == pid)
+
+
+def test_membership_refuses_boundary_points(corpus_insts):
+    inst = corpus_insts["hat"]
+    for pid in ("NE", "SE"):
+        with pytest.raises(OnBoundaryError, match="sp_e"):
+            sides.member(inst, pid, pt(Fraction(1, 2), 0))
+    with pytest.raises(OnBoundaryError):
+        sides.member(inst, "NE", pt(0, 0))
+    # on sp_e's hull, past its end at (1, 0)
+    assert not sides.member(inst, "NE", pt(2, 0))
+    assert sides.member(inst, "OUT", pt(2, 0))
 
 
 def test_vertex_cone_contains(corpus_insts):
