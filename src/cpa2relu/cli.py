@@ -9,9 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from . import corpus as corpus_mod
 from .decompose import decompose, decomposition_to_json
@@ -27,25 +25,6 @@ from .verify import verify_equivalence, verify_lemma_suite
 _MODES = {"exact": EXACT, "f64": FLOAT64}
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    net_path: Optional[str] = None
-    point: Optional[Tuple[Fraction, Fraction]] = None
-    pieces: Optional[int] = None
-    seed: int = 0
-    samples: int = 1000
-    mode: str = EXACT
-    float_mirror: bool = False
-    lemmas: bool = False
-    viewport: Optional[tuple] = None
-    width: int = 640
-    height: int = 640
-    stroke: float = 1.5
-
-
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -58,6 +37,14 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad rational {text!r}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("eval", help="evaluate a compiled network at a point")
     c.add_argument("network")
-    c.add_argument("--point", nargs=2, required=True, metavar=("X", "Y"),
+    c.add_argument("--point", nargs=2, type=_rational, required=True,
+                   metavar=("X", "Y"),
                    help="rational coordinates, e.g. 3 -1/2")
     c.add_argument("--mode", choices=sorted(_MODES), default="exact")
 
@@ -114,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--width", type=_positive, default=640)
     c.add_argument("--height", type=_positive, default=640)
     c.add_argument("--stroke", type=float, default=1.5)
-    c.add_argument("--viewport", nargs=4,
+    c.add_argument("--viewport", nargs=4, type=_rational,
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
 
     c = sub.add_parser("corpus", help="write the built-in instance corpus")
@@ -122,32 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=_nonneg,
                    default=corpus_mod.DEFAULT_RANDOM_SEED)
     return p
-
-
-def _config(ns: argparse.Namespace) -> CliConfig:
-    point = None
-    if getattr(ns, "point", None) is not None:
-        point = (Fraction(ns.point[0]), Fraction(ns.point[1]))
-    viewport = None
-    if getattr(ns, "viewport", None) is not None:
-        viewport = tuple(Fraction(v) for v in ns.viewport)
-    return CliConfig(
-        subcommand=ns.subcommand,
-        input_path=getattr(ns, "input", None) or getattr(ns, "network", None),
-        output_path=getattr(ns, "output", None),
-        net_path=getattr(ns, "net", None),
-        point=point,
-        pieces=getattr(ns, "pieces", None),
-        seed=getattr(ns, "seed", 0),
-        samples=getattr(ns, "samples", 1000),
-        mode=_MODES[getattr(ns, "mode", "exact")],
-        float_mirror=bool(getattr(ns, "float_mirror", False)),
-        lemmas=bool(getattr(ns, "lemmas", False)),
-        viewport=viewport,
-        width=getattr(ns, "width", 640),
-        height=getattr(ns, "height", 640),
-        stroke=getattr(ns, "stroke", 1.5),
-    )
 
 
 def _read_json(path: str):
@@ -177,95 +139,95 @@ def _validated(path: str):
     return inst
 
 
-def _cmd_validate(cfg: CliConfig) -> int:
-    inst = _load_instance(cfg.input_path)
+def _cmd_validate(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns.input)
     report = validate(inst)
     print(json.dumps(report.to_json(), indent=1, sort_keys=True))
     return 0 if report.ok else 1
 
 
-def _cmd_sparsify(cfg: CliConfig) -> int:
-    inst = _validated(cfg.input_path)
+def _cmd_sparsify(ns: argparse.Namespace) -> int:
+    inst = _validated(ns.input)
     slim = sparsify(inst, skip_validation=True)
-    _write_json(cfg.output_path, serialize_instance(slim))
+    _write_json(ns.output, serialize_instance(slim))
     print(f"{len(inst.pieces)} pieces / {len(inst.edges)} edges -> "
           f"{len(slim.pieces)} pieces / {len(slim.edges)} edges; "
-          f"wrote {cfg.output_path}")
+          f"wrote {ns.output}")
     return 0
 
 
-def _cmd_decompose(cfg: CliConfig) -> int:
-    inst = _validated(cfg.input_path)
+def _cmd_decompose(ns: argparse.Namespace) -> int:
+    inst = _validated(ns.input)
     slim = sparsify(inst, skip_validation=True)
     dec = decompose(slim)
-    _write_json(cfg.output_path, decomposition_to_json(dec))
+    _write_json(ns.output, decomposition_to_json(dec))
     print(f"{len(dec.fans)} fans, {len(dec.edge_pairs)} edge functions; "
-          f"wrote {cfg.output_path}")
+          f"wrote {ns.output}")
     return 0
 
 
-def _compile(cfg: CliConfig):
-    inst = _validated(cfg.input_path)
+def _compile(path: str):
+    inst = _validated(path)
     slim = sparsify(inst, skip_validation=True)
     dec = decompose(slim)
     terms = reduce_terms(dec, slim.p)
     return inst, slim, dec, terms, build_network(terms)
 
 
-def _cmd_compile(cfg: CliConfig) -> int:
-    _, slim, _, terms, net = _compile(cfg)
-    _write_json(cfg.output_path,
-                export_network(net, include_float=cfg.float_mirror))
+def _cmd_compile(ns: argparse.Namespace) -> int:
+    _, slim, _, terms, net = _compile(ns.input)
+    _write_json(ns.output,
+                export_network(net, include_float=ns.float_mirror))
     s1, s2 = net.widths
     print(f"{len(terms.terms)} terms -> network 2/{s1}/{s2}/1; "
-          f"wrote {cfg.output_path}")
+          f"wrote {ns.output}")
     return 0
 
 
-def _cmd_eval(cfg: CliConfig) -> int:
-    net = import_network(_read_json(cfg.input_path))
-    x = pt(*cfg.point)
-    value = eval_network(net, x, cfg.mode)
-    print(rat_to_json(value) if cfg.mode == EXACT else repr(value))
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    net = import_network(_read_json(ns.network))
+    mode = _MODES[ns.mode]
+    value = eval_network(net, pt(*ns.point), mode)
+    print(rat_to_json(value) if mode == EXACT else repr(value))
     return 0
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    inst, slim, dec, terms, net = _compile(cfg)
-    if cfg.net_path:
-        net = import_network(_read_json(cfg.net_path))
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    inst, slim, dec, terms, net = _compile(ns.input)
+    if ns.net:
+        net = import_network(_read_json(ns.net))
     report = verify_equivalence(slim, dec, terms, net,
-                                n=cfg.samples, seed=cfg.seed)
+                                n=ns.samples, seed=ns.seed)
     print(report.summary())
     print(f"{len(report.failures)} failures")
     ok = report.certified
-    if cfg.lemmas:
-        lemma_report = verify_lemma_suite(inst, n=cfg.samples, seed=cfg.seed)
+    if ns.lemmas:
+        lemma_report = verify_lemma_suite(inst, n=ns.samples, seed=ns.seed)
         print(lemma_report.summary())
         ok = ok and lemma_report.certified
     return 0 if ok else 1
 
 
-def _cmd_stats(cfg: CliConfig) -> int:
-    net = import_network(_read_json(cfg.input_path))
-    st = stats(net, cfg.pieces)
+def _cmd_stats(ns: argparse.Namespace) -> int:
+    net = import_network(_read_json(ns.network))
+    st = stats(net, ns.pieces)
     print(json.dumps(st, indent=1, sort_keys=True))
     return 0 if st["bounds_ok"] else 1
 
 
-def _cmd_render(cfg: CliConfig) -> int:
-    inst = _load_instance(cfg.input_path)
-    svg = render_svg(inst, width=cfg.width, height=cfg.height,
-                     viewport=cfg.viewport, stroke=cfg.stroke)
-    with open(cfg.output_path, "w") as fh:
+def _cmd_render(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns.input)
+    svg = render_svg(inst, width=ns.width, height=ns.height,
+                     viewport=ns.viewport, stroke=ns.stroke)
+    with open(ns.output, "w") as fh:
         fh.write(svg)
         fh.write("\n")
-    print(f"wrote {cfg.output_path}")
+    print(f"wrote {ns.output}")
     return 0
 
 
-def _cmd_corpus(cfg: CliConfig) -> int:
-    paths = corpus_mod.write_corpus(cfg.output_path, random_seed=cfg.seed)
+def _cmd_corpus(ns: argparse.Namespace) -> int:
+    paths = corpus_mod.write_corpus(ns.output, random_seed=ns.seed)
     for path in paths:
         print(path)
     return 0
@@ -289,19 +251,13 @@ def run(argv) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for attr in ("input", "network", "net"):
+        path = getattr(ns, attr, None)
+        if path is not None and not os.path.exists(path):
+            print(f"usage error: no such file: {path}", file=sys.stderr)
+            return 2
     try:
-        cfg = _config(ns)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.input_path is not None and not os.path.exists(cfg.input_path):
-        print(f"usage error: no such file: {cfg.input_path}", file=sys.stderr)
-        return 2
-    if cfg.net_path is not None and not os.path.exists(cfg.net_path):
-        print(f"usage error: no such file: {cfg.net_path}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[ns.subcommand](ns)
     except CpaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

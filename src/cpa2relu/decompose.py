@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from . import kernels
 from .errors import ContinuityError, InvalidInputError
 from .geometry import (
     Direction,
@@ -21,10 +23,11 @@ from .geometry import (
     Point,
     Rat,
     Ray,
-    in_ccw_sector,
+    int_direction,
+    int_offset,
+    int_point,
     rat_to_json,
-    same_direction,
-    sub,
+    sector_index,
     translate,
 )
 from .model import AffineFunc, CPAInstance, edge_sides, vertex_star
@@ -49,6 +52,11 @@ class Fan:
         if len(self.rays) < 2:
             raise InvalidInputError("fan needs at least two rays")
 
+    @cached_property
+    def int_rays(self) -> tuple[tuple[int, int], ...]:
+        """The rays as integer pairs, the form sector_index takes."""
+        return tuple(int_direction(d) for d in self.rays)
+
 
 def validate_fan(fan: Fan) -> None:
     """Adjacent sector affines must agree along their shared ray."""
@@ -64,17 +72,12 @@ def validate_fan(fan: Fan) -> None:
 
 
 def eval_fan(fan: Fan, x: Point) -> Rat:
-    """Value of the fan at x; points on rays take the first CCW sector
-    touching them (continuity makes the choice irrelevant)."""
-    u = sub(x, fan.center)
-    if u.dx == 0 and u.dy == 0:
-        return fan.sector_affines[0](x)
-    k = len(fan.rays)
-    for i in range(k):
-        if same_direction(fan.rays[i], u) or \
-                in_ccw_sector(fan.rays[i], fan.rays[(i + 1) % k], u):
-            return fan.sector_affines[i](x)
-    raise InvalidInputError(f"no sector of fan at {fan.center} contains {x}")
+    """Value of the fan at x, from the sector that sector_index finds
+    for x - center on integers.  A point on ray i takes sector i and the
+    center takes sector 0; continuity makes either choice irrelevant."""
+    u = int_offset(x, fan.center)
+    i = sector_index(fan.int_rays, u)[0] if u != (0, 0) else 0
+    return fan.sector_affines[i](x)
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,15 @@ class EdgePair:
     minus_side_affine: AffineFunc
     sign: int
 
+    @cached_property
+    def int_boundary(self) -> tuple[int, int, int]:
+        """(A, B, C) with A*x + B*y + C a positive multiple of boundary."""
+        return self.boundary.int_form()[:3]
+
 
 def eval_edge_pair(pair: EdgePair, x: Point) -> Rat:
-    if pair.boundary(x) >= 0:
+    """The plus side's value on {boundary >= 0}, the line included."""
+    if kernels.line_sign(*pair.int_boundary, *int_point(x)) >= 0:
         return pair.plus_side_affine(x)
     return pair.minus_side_affine(x)
 
@@ -184,28 +193,24 @@ def eval_decomposition(dec: Decomposition, x: Point) -> Rat:
 # ---------------------------------------------------------------------------
 # JSON dump (CLI inspection format)
 
-def _affine_json(f: AffineFunc) -> list:
-    return f.to_json()
-
-
 def decomposition_to_json(dec: Decomposition) -> dict:
     return {
         "fans": [
             {
                 "center": [rat_to_json(f.center.x), rat_to_json(f.center.y)],
                 "rays": [[rat_to_json(d.dx), rat_to_json(d.dy)] for d in f.rays],
-                "sector_affines": [_affine_json(a) for a in f.sector_affines],
+                "sector_affines": [a.to_json() for a in f.sector_affines],
             }
             for f in dec.fans
         ],
         "edge_pairs": [
             {
-                "boundary": _affine_json(p.boundary),
-                "plus": _affine_json(p.plus_side_affine),
-                "minus": _affine_json(p.minus_side_affine),
+                "boundary": p.boundary.to_json(),
+                "plus": p.plus_side_affine.to_json(),
+                "minus": p.minus_side_affine.to_json(),
                 "sign": p.sign,
             }
             for p in dec.edge_pairs
         ],
-        "tail": _affine_json(dec.tail),
+        "tail": dec.tail.to_json(),
     }

@@ -1,12 +1,14 @@
 """Exact plane geometry over rationals.
 
-Everything in this module is computed with fractions.Fraction; no floats,
-no epsilons.  Two equal directions at a vertex raise
-DuplicateDirectionError.  Point-edge questions are decided on an edge's
-integer line (int_line) in model: model.edges_at for whether a point is
-on an edge, model._parity for crossing parity, where degenerate
-positions are resolved by symbolic perturbation.  orientation stays as
-the Fraction reference the tests check those integer predicates against.
+Coordinates are fractions.Fraction; no floats, no epsilons.  The one
+angular predicate, ccw_angle_cmp, orders integer direction pairs by
+their CCW angle from a reference direction: from +x it sorts the edges
+at a vertex (ccw_sort_directions), from a fan's first ray it finds the
+sector holding a direction (sector_index).  Sides are decided by
+kernels.line_sign on an edge's int_line: model.edges_at, and
+model._parity with degenerate positions resolved by symbolic
+perturbation.  orientation stays as the Fraction reference the tests
+check those integer predicates against.
 """
 from __future__ import annotations
 
@@ -169,66 +171,69 @@ def hull_points(e: EdgeGeom) -> tuple[Point, Point]:
 # ---------------------------------------------------------------------------
 # CCW ordering of directions
 
-def _half(d: Direction) -> int:
-    """0 for angles in [0, pi), 1 for [pi, 2pi), measured from +x axis."""
-    if d.dy > 0 or (d.dy == 0 and d.dx > 0):
-        return 0
-    return 1
+X_AXIS = (1, 0)
 
 
-def _ccw_cmp(u: Direction, v: Direction) -> int:
-    hu, hv = _half(u), _half(v)
+def ccw_angle_cmp(ref: tuple[int, int], u: tuple[int, int],
+                  v: tuple[int, int]) -> int:
+    """-1, 0 or 1 as the counterclockwise angle from ref to u, taken in
+    [0, 2pi), is smaller than, equal to or larger than that to v.
+
+    ref, u and v are nonzero integer pairs (int_direction).  Each of u
+    and v is first placed in the half turn [0, pi) or [pi, 2pi) after
+    ref; within one half turn the cross product orders them.
+    """
+    (rx, ry), (ux, uy), (vx, vy) = ref, u, v
+    cu = rx * uy - ry * ux
+    cv = rx * vy - ry * vx
+    hu = cu < 0 or (cu == 0 and rx * ux + ry * uy < 0)
+    hv = cv < 0 or (cv == 0 and rx * vx + ry * vy < 0)
     if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+        return 1 if hu else -1
+    c = ux * vy - uy * vx
+    return (c < 0) - (c > 0)
 
 
 def ccw_sort_directions(center: Point | str,
                         dirs: list[Direction]) -> list[int]:
-    """Permutation sorting directions counterclockwise from the +x axis.
+    """Permutation sorting directions counterclockwise from the +x axis
+    (ccw_angle_cmp from X_AXIS).
 
     center, a point or a vertex id, is carried for error context only;
     direction order does not depend on it.  Two equal directions raise
     DuplicateDirectionError since no strict cyclic order exists then.
     """
-    order = sorted(range(len(dirs)), key=functools.cmp_to_key(
-        lambda i, j: _ccw_cmp(dirs[i], dirs[j])))
+    ints = [int_direction(d) for d in dirs]
+
+    def cmp(i: int, j: int) -> int:
+        return ccw_angle_cmp(X_AXIS, ints[i], ints[j])
+
+    order = sorted(range(len(dirs)), key=functools.cmp_to_key(cmp))
     for a, b in zip(order, order[1:]):
-        if _ccw_cmp(dirs[a], dirs[b]) == 0:
+        if cmp(a, b) == 0:
             raise DuplicateDirectionError(
                 f"duplicate direction at {center}: {dirs[a]} and {dirs[b]}")
     return order
 
 
-def in_ccw_sector(start: Direction, end: Direction, u: Direction) -> bool:
-    """True when u lies strictly inside the sector swept CCW from start
-    to end.  The sector may be reflex; start == end is rejected upstream."""
-    c = cross(start, end)
-    if c > 0:
-        return cross(start, u) > 0 and cross(u, end) > 0
-    if c < 0:
-        # reflex sector: complement of the closed CCW sector from end to start
-        return not (cross(end, u) >= 0 and cross(u, start) >= 0)
-    # start and end are opposite: the sector is the open half plane to
-    # the left of start
-    return cross(start, u) > 0
+def sector_index(rays: tuple[tuple[int, int], ...],
+                 u: tuple[int, int]) -> tuple[int, bool]:
+    """(i, on_ray): the sector from rays[i] to rays[i + 1] (cyclically)
+    that holds the direction u, and whether u lies along rays[i].
 
-
-def sector_midpoint_direction(start: Direction, end: Direction) -> Direction:
-    """A direction strictly inside the CCW sector from start to end."""
-    s = Direction(start.dx + end.dx, start.dy + end.dy)
-    if cross(start, s) == 0:
-        # antipodal rays: the sum vanishes or degenerates onto the
-        # boundary, and the sector is the half plane left of start
-        return perp(start)
-    if in_ccw_sector(start, end, s):
-        return s
-    return -s
+    rays are integer pairs in strict CCW order starting anywhere, so
+    their angles from rays[0] increase; the list may wrap past +x.  A
+    bisection on those angles finds the last ray not past u.
+    """
+    r0 = rays[0]
+    lo, hi = 0, len(rays)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ccw_angle_cmp(r0, rays[mid], u) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, ccw_angle_cmp(r0, rays[lo], u) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +242,22 @@ def sector_midpoint_direction(start: Direction, end: Direction) -> Direction:
 def int_point(p: Point) -> tuple[int, int, int, int]:
     """(xn, xd, yn, yd) with positive denominators."""
     return (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+
+
+def int_direction(d: Direction) -> tuple[int, int]:
+    """d scaled by a positive integer to an integer pair."""
+    return (d.dx.numerator * d.dy.denominator,
+            d.dy.numerator * d.dx.denominator)
+
+
+def int_offset(p: Point, q: Point) -> tuple[int, int]:
+    """p - q scaled by a positive integer to an integer pair, without
+    building a Fraction."""
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    return ((px.numerator * qx.denominator - qx.numerator * px.denominator)
+            * py.denominator * qy.denominator,
+            (py.numerator * qy.denominator - qy.numerator * py.denominator)
+            * px.denominator * qx.denominator)
 
 
 def int_line(e: EdgeGeom) -> tuple[int, int, int]:

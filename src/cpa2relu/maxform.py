@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from . import kernels
 from .errors import (
@@ -22,12 +22,13 @@ from .errors import (
 )
 from .decompose import Decomposition, EdgePair, Fan, validate_fan
 from .geometry import (
+    X_AXIS,
     Point,
     Rat,
-    _ccw_cmp,
+    ccw_angle_cmp,
     cross,
     dot,
-    sector_midpoint_direction,
+    perp,
     translate,
 )
 from .model import AffineFunc
@@ -126,11 +127,9 @@ class CplRecord:
 def _canonical_rotation(fan: Fan) -> Fan:
     """Rotate the ray list to start at the CCW-smallest direction
     (angle from the positive x axis)."""
-    k = len(fan.rays)
-    j = 0
-    for i in range(1, k):
-        if _ccw_cmp(fan.rays[i], fan.rays[j]) < 0:
-            j = i
+    ints = fan.int_rays
+    j = min(range(len(ints)), key=cmp_to_key(
+        lambda a, b: ccw_angle_cmp(X_AXIS, ints[a], ints[b])))
     if j == 0:
         return fan
     rays = fan.rays[j:] + fan.rays[:j]
@@ -239,12 +238,14 @@ def split_cross_case(fan: Fan) -> tuple[Fan, Fan]:
 
 
 def two_sector_to_max(fan: Fan) -> MaxTerm:
-    """A two-sector fan is the max or min of its two affines."""
+    """A two-sector fan is the max or min of its two affines.  The probe
+    a quarter turn CCW of rays[0] lies in sector 0 when the rays are
+    opposite, as in every fan reduce passes; a continuous fan with other
+    rays has equal affines, so any probe gives the same term."""
     if len(fan.rays) != 2:
         raise MalformedFanError(f"expected 2 sectors, got {len(fan.rays)}")
     g0, g1 = fan.sector_affines
-    mid = sector_midpoint_direction(fan.rays[0], fan.rays[1])
-    probe = translate(fan.center, mid)
+    probe = translate(fan.center, perp(fan.rays[0]))
     if g0(probe) >= g1(probe):
         return MaxTerm(1, g0, 1, g1, g1)
     return MaxTerm(-1, -g0, 1, -g1, -g1)

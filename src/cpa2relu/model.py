@@ -160,8 +160,9 @@ class CPAInstance:
         self._int_lines: dict[str, tuple[int, int, int]] = {}
         self._edge_sides: dict[str, tuple[str, str]] = {}
         self._piece_lines: dict[str, list] = {}
+        self._stars: dict[str, tuple[tuple, list]] = {}  # for sides
+        self._conic_coeffs: dict = {}  # piece id -> sides.ConicCoeff
         self._bbox: tuple[Rat, Rat, Rat, Rat] | None = None
-        self.cone_cache: dict = {}
 
     @property
     def p(self) -> int:
@@ -483,19 +484,18 @@ def edge_sides(inst: CPAInstance, eid: str) -> tuple[str, str]:
     return sides
 
 
-def vertex_star(inst: CPAInstance, vid: str,
-                edge_ids=None) -> list[tuple[Direction, str, str]]:
-    """The edges at a vertex, or those of them in edge_ids, in CCW order
-    of their direction away from it: (direction, ccw_piece, cw_piece)
-    with the pieces just counterclockwise and just clockwise of each.
+def vertex_star(inst: CPAInstance,
+                vid: str) -> list[tuple[Direction, str, str]]:
+    """The edges at a vertex in CCW order of their direction away from
+    it: (direction, ccw_piece, cw_piece) with the pieces just
+    counterclockwise and just clockwise of each.
 
     An edge leaving the vertex along its own direction has its left
     piece counterclockwise; a segment arriving at its end b has it
     clockwise.
     """
     v = inst.vertices[vid]
-    eids = [eid for eid in inst.vertex_edges[vid]
-            if edge_ids is None or eid in edge_ids]
+    eids = inst.vertex_edges[vid]
     dirs = [away_direction(inst.edges[eid].geom, v) for eid in eids]
     star = []
     for i in ccw_sort_directions(v, dirs):
@@ -615,35 +615,43 @@ class ValidationReport:
                             "failures": c.failures} for c in self.checks]}
 
 
-def _reaches(g: EdgeGeom, L: tuple[int, int, int], rate: int) -> bool:
-    """Whether the edge meets the line L = (A, B, C), which it is not
-    parallel to; rate is the sign of A*x + B*y + C's change along the
-    edge's direction."""
+def _pair_form(L: tuple[int, int, int], g: EdgeGeom) -> tuple:
+    """(L, g, ends) for an edge g with int_line L: ends holds the
+    int_point of a segment's a and b, or of a ray's or line's base."""
+    ends = (g.a, g.b) if isinstance(g, Segment) else (edge_base(g),)
+    return L, g, tuple(int_point(q) for q in ends)
+
+
+def _reaches(g: EdgeGeom, ends, L: tuple[int, int, int], rate: int) -> bool:
+    """Whether the edge, with its _pair_form ends, meets the line
+    L = (A, B, C), which it is not parallel to; rate is the sign of
+    A*x + B*y + C's change along the edge's direction."""
     if isinstance(g, Line):
         return True
     if isinstance(g, Segment):
         # not both ends on L: the edge is not parallel to it
-        return (kernels.line_sign(*L, *int_point(g.a))
-                != kernels.line_sign(*L, *int_point(g.b)))
-    return kernels.line_sign(*L, *int_point(g.v)) != rate
+        return (kernels.line_sign(*L, *ends[0])
+                != kernels.line_sign(*L, *ends[1]))
+    return kernels.line_sign(*L, *ends[0]) != rate
 
 
-def _edges_intersect_cleanly(line1, line2, allowed: set[Point]) -> str | None:
-    """None when two edges, given as (int_line, geom) pairs, meet only
-    at allowed points, the vertices they share; otherwise a description
-    of the offending overlap."""
-    (L1, g1), (L2, g2) = line1, line2
+def _edges_intersect_cleanly(form1, form2, allowed: set[Point]) -> str | None:
+    """None when two edges, given by their _pair_form, meet only at
+    allowed points, the vertices they share; otherwise a description of
+    the offending overlap."""
+    (L1, g1, ends1), (L2, g2, ends2) = form1, form2
     (A1, B1, C1), (A2, B2, C2) = L1, L2
     det = A1 * B2 - B1 * A2
     if det != 0:
         # the lines meet in one point, which is any shared vertex
         k = sign(det)
-        if allowed or not (_reaches(g1, L2, -k) and _reaches(g2, L1, k)):
+        if allowed or not (_reaches(g1, ends1, L2, -k)
+                           and _reaches(g2, ends2, L1, k)):
             return None
         z = Point(Fraction(B1 * C2 - B2 * C1, det),
                   Fraction(A2 * C1 - A1 * C2, det))
         return f"edges cross at {z}"
-    if kernels.line_sign(*L1, *int_point(edge_base(g2))) != 0:
+    if kernels.line_sign(*L1, *ends2[0]) != 0:
         return None
     lo1, hi1 = _span(g1, A1, B1)
     lo2, hi2 = _span(g2, A1, B1)
@@ -764,13 +772,14 @@ def validate(inst: CPAInstance) -> ValidationReport:
                     fails.append(f"piece {pid}: edge {eid} repeated in boundary")
                 seen.add(eid)
     eids = sorted(inst.edges)
-    lines = dict(zip(eids, inst.edge_lines(eids)))
+    forms = {eid: _pair_form(inst.int_line(eid), inst.edges[eid].geom)
+             for eid in eids}
     for i, e1 in enumerate(eids):
         r1 = inst.edges[e1]
         for e2 in eids[i + 1:]:
             r2 = inst.edges[e2]
             shared = {inst.vertices[v] for v in set(r1.vertex_ids) & set(r2.vertex_ids)}
-            msg = _edges_intersect_cleanly(lines[e1], lines[e2], shared)
+            msg = _edges_intersect_cleanly(forms[e1], forms[e2], shared)
             if msg is not None:
                 fails.append(f"{e1} vs {e2}: {msg}")
     for pid, piece in inst.pieces.items():
@@ -912,11 +921,13 @@ def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
                         seen.pop(u, None)
                 components.append(BoundaryComponent(
                     CYCLE, tuple(e for e, _ in cyc)))
-                if i == -1 and closed:
-                    return
             else:
                 seen[head] = len(stack) - 1
             eid = next_edge(eid)
+            if eid == start:
+                # not at the first return to the start vertex: the
+                # boundary may pass through it more than once
+                break
         if stack:
             components.append(BoundaryComponent(ARC, tuple(e for e, _ in stack)))
 

@@ -2,14 +2,17 @@
 coefficients tying them together.
 
 For a piece P, the cone of P at a vertex v is the union of the sectors
-of P between consecutive incident edge directions; the side of P at an
-edge is the closed half-plane that locally agrees with P.  Both come
-from the orientation of P's edges (model.edge_sides: which declared
-piece lies on each side of each edge), with no membership probe of
-their own.  Summing their indicators (lines positive, segments
-negative) plus the correction constant c(P) reproduces the indicator of
-P at every general-position point; indicator_identity_check tests
-exactly that.
+of v's star that P holds; the side of P at an edge is the closed
+half-plane that locally agrees with P.  Both come from the orientation
+of the edges (model.edge_sides: which declared piece lies on each side
+of each edge), with no membership probe of their own, and both are
+decided on integers: a cone query finds its sector of the star with
+geometry.sector_index, which orders directions by the one CCW
+comparator geometry.ccw_angle_cmp, and a half-plane query takes the
+sign of the edge's int_line with kernels.line_sign.  Summing their
+indicators (lines positive, segments negative) plus the correction
+constant c(P) reproduces the indicator of P at every general-position
+point; indicator_identity_check tests exactly that.
 """
 from __future__ import annotations
 
@@ -19,15 +22,14 @@ from fractions import Fraction
 from . import kernels
 from .errors import GeneralPositionError, InvalidInputError, OnBoundaryError
 from .geometry import (
-    Direction,
     Line,
     Point,
     Rat,
     Ray,
-    in_ccw_sector,
+    int_direction,
+    int_offset,
     int_point,
-    same_direction,
-    sub,
+    sector_index,
 )
 from .model import (
     CPAInstance,
@@ -55,49 +57,41 @@ def member(inst: CPAInstance, piece_id: str, x: Point) -> bool:
 # ---------------------------------------------------------------------------
 # Vertex cones
 
-def vertex_sectors(inst: CPAInstance, piece_id: str,
-                   vertex_id: str) -> list[tuple[Direction, Direction, bool]]:
-    """All sectors between consecutive piece edges at a vertex with their
-    inside/outside status, CCW starting from the smallest angle.  A
-    sector lies in the piece when the piece is counterclockwise of the
-    edge the sector starts at."""
-    key = (piece_id, vertex_id)
-    cached = inst.cone_cache.get(key)
-    if cached is not None:
-        return cached
-    star = vertex_star(inst, vertex_id, set(inst.piece_edges[piece_id]))
-    if len(star) < 2:
-        raise InvalidInputError(
-            f"vertex {vertex_id} has degree {len(star)} in piece {piece_id}")
-    sectors = [(start, star[(i + 1) % len(star)][0], ccw == piece_id)
-               for i, (start, ccw, _) in enumerate(star)]
-    inst.cone_cache[key] = sectors
-    return sectors
+def _star(inst: CPAInstance, vertex_id: str) -> tuple[tuple, list]:
+    """(rays, star): model.vertex_star with its directions as integer
+    pairs, the form sector_index takes.  Cached per vertex."""
+    cached = inst._stars.get(vertex_id)
+    if cached is None:
+        star = vertex_star(inst, vertex_id)
+        cached = (tuple(int_direction(d) for d, _, _ in star), star)
+        inst._stars[vertex_id] = cached
+    return cached
 
 
 def vertex_cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
                          x: Point) -> bool:
-    """Whether x lies in the piece's cone at the vertex.
+    """Whether x lies in the piece's cone at the vertex: whether the
+    sector of the vertex's full star (model.vertex_star) that holds
+    x - v belongs to the piece.
 
-    x must not sit in the direction of an incident edge (that is exactly
-    the boundary of the cone structure); such x raise
-    GeneralPositionError.
+    x at the vertex, or along one of the piece's own edges there (the
+    boundary of its cone), raises GeneralPositionError; x along another
+    piece's edge lies outside the cone, since both sides of that edge
+    belong to other pieces.
     """
+    if vertex_id not in inst.piece_vertices[piece_id]:
+        raise InvalidInputError(
+            f"vertex {vertex_id} is not on the boundary of piece {piece_id}")
     v = inst.vertices[vertex_id]
     if x == v:
         raise GeneralPositionError(f"{x} coincides with vertex {vertex_id}")
-    u = sub(x, v)
-    sectors = vertex_sectors(inst, piece_id, vertex_id)
-    for start, _, _ in sectors:
-        if same_direction(start, u):
-            raise GeneralPositionError(
-                f"{x} is aligned with an edge at vertex {vertex_id}")
-    hits = [inside for start, end, inside in sectors
-            if in_ccw_sector(start, end, u)]
-    if len(hits) != 1:
+    rays, star = _star(inst, vertex_id)
+    i, on_ray = sector_index(rays, int_offset(x, v))
+    _, ccw, cw = star[i]
+    if on_ray and piece_id in (ccw, cw):
         raise GeneralPositionError(
-            f"{x} is not strictly inside a unique sector at {vertex_id}")
-    return hits[0]
+            f"{x} is aligned with an edge at vertex {vertex_id}")
+    return ccw == piece_id
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +132,9 @@ def point_in_cycle(inst: CPAInstance, cycle_edges, x: Point) -> bool:
 
 
 def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:
-    """Counts d(P), holes, arcs and the constant c(P) = 1 + d - n_h - n_a."""
-    key = ("cc", piece_id)
-    cached = inst.cone_cache.get(key)
+    """Counts d(P), holes, arcs and the constant c(P) = 1 + d - n_h - n_a.
+    Cached per piece."""
+    cached = inst._conic_coeffs.get(piece_id)
     if cached is not None:
         return cached
     piece = inst.pieces[piece_id]
@@ -160,7 +154,7 @@ def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:
         raise InvalidInputError(
             f"piece {piece_id} has non-integer correction constant {c}")
     cc = ConicCoeff(d, n_h, n_a, int(c))
-    inst.cone_cache[key] = cc
+    inst._conic_coeffs[piece_id] = cc
     return cc
 
 

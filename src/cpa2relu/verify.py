@@ -8,8 +8,11 @@ area, but that region may lie wholly outside the box: a network with an
 extra term max(0, x - 1000) agrees with a small instance everywhere the
 sampler looks.  "certified" therefore means agreement at the samples in
 the box, and nothing more.  The stage evaluators are exact: the instance
-through crossing-parity membership, the term list and the network
-through the integer kernels in cpa2relu.kernels.
+through crossing-parity membership; the decomposition with its sectors
+and sides decided on integers (geometry.sector_index for each fan,
+kernels.line_sign for each edge pair) and its values in Fractions; the
+term list and the network through the integer kernels in
+cpa2relu.kernels.
 
 Reports are plain data and fully reproducible: the same instance and seed
 always produce byte-identical JSON.

@@ -148,6 +148,19 @@ def test_bad_arguments_are_usage_errors(corpus_dir, capsys):
     capsys.readouterr()
 
 
+def test_bad_rationals_are_usage_errors(tmp_path, corpus_dir, capsys):
+    hat = str(corpus_dir / "hat.json")
+    net = str(tmp_path / "net.json")
+    assert cli.run(["compile", hat, "-o", net]) == 0
+    assert cli.run(["eval", net, "--point", "1/0", "0"]) == 2
+    assert cli.run(["eval", net, "--point", "x", "0"]) == 2
+    assert cli.run(["render", hat, "-o", str(tmp_path / "hat.svg"),
+                    "--viewport", "0", "0", "1/0", "1"]) == 2
+    assert cli.run(["render", hat, "-o", str(tmp_path / "hat.svg"),
+                    "--viewport", "0", "0", "one", "1"]) == 2
+    assert "1/0" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert "validate" in capsys.readouterr().out

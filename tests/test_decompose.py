@@ -5,8 +5,9 @@ import pytest
 
 from cpa2relu import corpus, model
 from cpa2relu.decompose import (
-    build_edge_function, build_vertex_function, decompose,
-    decomposition_to_json, eval_decomposition, eval_fan, validate_fan,
+    EdgePair, Fan, build_edge_function, build_vertex_function, decompose,
+    decomposition_to_json, eval_decomposition, eval_edge_pair, eval_fan,
+    validate_fan,
 )
 from cpa2relu.errors import ContinuityError, InvalidInputError
 from cpa2relu.geometry import Line, Ray, Segment, dr, pt
@@ -85,6 +86,32 @@ def test_eval_fan_is_continuous_across_rays(compiled):
     assert eval_fan(fan, pt(2, 0)) == 2
     assert eval_fan(fan, pt(0, -3)) == 3
     assert eval_fan(fan, pt(0, 0)) == 0
+
+
+def test_eval_fan_puts_a_point_on_ray_i_in_sector_i():
+    # constant sectors make the choice visible; the second list starts
+    # past +x and wraps round it
+    c = pt(1, 1)
+    rays = (dr(1, 0), dr(0, 1), dr(-1, -1))
+    for shift in (0, 1, 2):
+        fan = Fan(c, rays[shift:] + rays[:shift],
+                  tuple(aff(0, 0, k) for k in range(3)))
+        assert eval_fan(fan, c) == 0
+        for i, d in enumerate(fan.rays):
+            x = pt(c.x + Fraction(d.dx, 3), c.y + Fraction(d.dy, 3))
+            assert eval_fan(fan, x) == i
+        assert eval_fan(fan, pt(2, 2)) == (0 - shift) % 3
+
+
+def test_eval_edge_pair_takes_the_plus_side_on_the_boundary():
+    # boundary x/2 - y/3 + 1/6 vanishes on y = 3x/2 + 1/2
+    pair = EdgePair(aff(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6)),
+                    aff(0, 0, 1), aff(0, 0, 2), 1)
+    for x in (pt(1, 2), pt(Fraction(-1, 3), 0), pt(-1, -1)):
+        assert pair.boundary(x) == 0
+        assert eval_edge_pair(pair, x) == 1
+    assert eval_edge_pair(pair, pt(0, 0)) == 1
+    assert eval_edge_pair(pair, pt(0, 1)) == 2
 
 
 def test_build_edge_function_rejects_rays(corpus_insts):

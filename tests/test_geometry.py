@@ -1,5 +1,5 @@
-"""Exact-predicate properties: orientation, CCW sorting, crossing parity,
-points on edges and clean edge intersections."""
+"""Exact-predicate properties: orientation, CCW sorting and sectors,
+crossing parity, points on edges and clean edge intersections."""
 import math
 from fractions import Fraction
 
@@ -8,13 +8,14 @@ from hypothesis import assume, given, strategies as st
 
 from cpa2relu.geometry import (
     Direction, Line, Ray, Segment, ccw_sort_directions, cross, dot, dr,
-    edge_base, edge_direction, in_ccw_sector, int_line, orientation, pt,
-    rat_from_json, rat_to_json, same_direction, sector_midpoint_direction,
-    sub, translate,
+    edge_base, edge_direction, int_direction, int_line, int_offset,
+    orientation, pt, rat_from_json, rat_to_json, same_direction,
+    sector_index, sub, translate,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
 from cpa2relu.model import (
-    GENERIC, CPAInstance, EdgeRec, _edges_intersect_cleanly, _parity, edges_at,
+    GENERIC, CPAInstance, EdgeRec, _edges_intersect_cleanly, _pair_form,
+    _parity, edges_at,
 )
 
 rats = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
@@ -70,14 +71,58 @@ def test_ccw_sort_rejects_positive_multiples():
         ccw_sort_directions(pt(0, 0), [dr(1, 2), dr(-1, 0), dr(2, 4)])
 
 
-@given(int_dirs, int_dirs)
-def test_sector_midpoint_lies_in_sector(start, end):
-    if same_direction(start, end):
-        return
-    mid = sector_midpoint_direction(start, end)
-    assert in_ccw_sector(start, end, mid)
-    # and the complementary sector does not contain it
-    assert not in_ccw_sector(end, start, mid)
+def _in_ccw_sector(start, end, u):
+    """The Fraction sector predicate sector_index replaced: u strictly
+    inside the sector swept CCW from start to end."""
+    c = cross(start, end)
+    if c > 0:
+        return cross(start, u) > 0 and cross(u, end) > 0
+    if c < 0:
+        return not (cross(end, u) >= 0 and cross(u, start) >= 0)
+    return cross(start, u) > 0
+
+
+def _fraction_sector(rays, u):
+    """The first ray that u lies along or whose sector holds u."""
+    k = len(rays)
+    for i in range(k):
+        if same_direction(rays[i], u):
+            return i, True
+        if _in_ccw_sector(rays[i], rays[(i + 1) % k], u):
+            return i, False
+    raise AssertionError("no sector holds u")
+
+
+positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+@given(st.lists(int_dirs, min_size=1, max_size=7), st.booleans(),
+       st.integers(0, 7), st.integers(0, 7), st.one_of(int_dirs, st.none()),
+       positive)
+def test_sector_index_matches_the_fraction_scan(dirs, opposite, shift, along,
+                                                probe, scale):
+    # opposite rays, reflex sectors (few rays) and lists starting past
+    # +x (shift) all occur; probe None puts u along a ray
+    distinct = []
+    for d in dirs + ([-dirs[0]] if opposite else []):
+        if not any(same_direction(d, e) for e in distinct):
+            distinct.append(d)
+    assume(len(distinct) >= 2)
+    order = ccw_sort_directions(pt(0, 0), distinct)
+    rays = [distinct[order[(i + shift) % len(order)]]
+            for i in range(len(order))]
+    u = rays[along % len(rays)] if probe is None else probe
+    u = Direction(u.dx * scale, u.dy * scale)
+    got = sector_index(tuple(int_direction(d) for d in rays), int_direction(u))
+    assert got == _fraction_sector(rays, u)
+
+
+@given(points, points)
+def test_int_offset_points_along_the_difference(p, q):
+    u = dr(*int_offset(p, q))
+    d = sub(p, q)
+    assert cross(d, u) == 0
+    assert (u.dx, u.dy) == (0, 0) if p == q else dot(d, u) > 0
 
 
 @given(st.lists(points, min_size=3, max_size=6), points, int_dirs)
@@ -248,8 +293,8 @@ def test_clean_intersection_matches_the_fraction_check(g1, g2, shared):
     # allowed is what validate passes: the vertices the edges share,
     # or none when coinciding ends belong to different vertices
     allowed = _ends(g1) & _ends(g2) if shared else set()
-    got = _edges_intersect_cleanly((int_line(g1), g1), (int_line(g2), g2),
-                                   allowed)
+    got = _edges_intersect_cleanly(_pair_form(int_line(g1), g1),
+                                   _pair_form(int_line(g2), g2), allowed)
     assert got == _fraction_clean(g1, g2, allowed)
 
 

@@ -1,6 +1,7 @@
 """Instance parsing, validation, evaluation and sparsification."""
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from cpa2relu.errors import (
     ContinuityError, DanglingRefError, DuplicateDirectionError,
     InvalidInputError, SchemaError,
 )
-from cpa2relu.geometry import Line, Segment, pt
-from cpa2relu.verify import sample_general_position
+from cpa2relu.geometry import Line, Segment, pt, rat_to_json
+from cpa2relu.verify import (
+    sample_general_position, verify_equivalence, verify_lemma_suite,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +397,58 @@ def test_boundary_retrace_turns_clockwise_at_a_shared_vertex():
     assert model._trace_components(edges, dict.fromkeys(edges, True)) == [
         model.BoundaryComponent("cycle", ("a1", "a2", "a3")),
         model.BoundaryComponent("cycle", ("b1", "b2", "b3"))]
+
+
+def test_boundary_retrace_walks_on_through_its_start_vertex():
+    # the same two triangles with the piece outside both: one closed walk
+    # goes round each triangle clockwise and passes o between them.  It
+    # starts at o along e1, so its first return to o is not its end.
+    o, p, q, r, s = pt(0, 0), pt(2, 1), pt(1, 2), pt(-2, -1), pt(-1, -2)
+    edges = {"e1": (Segment(q, o), ("q", "o")),
+             "e2": (Segment(p, q), ("p", "q")),
+             "e3": (Segment(o, p), ("o", "p")),
+             "f1": (Segment(r, s), ("r", "s")),
+             "f2": (Segment(s, o), ("s", "o")),
+             "f3": (Segment(o, r), ("o", "r"))}
+    assert model._trace_components(edges, dict.fromkeys(edges, False)) == [
+        model.BoundaryComponent("cycle", ("e1", "e2", "e3")),
+        model.BoundaryComponent("cycle", ("f2", "f1", "f3"))]
+
+
+def _outer_heights_doc(seed, n_points, prob, rng_seed):
+    """random_instance with each interior vertex's height put back on the
+    outer piece's plane with probability prob, and every triangle's
+    affine refitted: neighbouring triangles then share affines and
+    sparsify merges them into pieces that can touch themselves."""
+    doc = corpus.random_instance(seed, n_points=n_points)
+    inst = model.parse_instance(doc)
+    outer = inst.pieces["out"].affine
+    on_outer = set(inst.piece_vertices["out"])
+    height = {vid: model.eval_cpa(inst, v) for vid, v in inst.vertices.items()}
+    rng = random.Random(rng_seed)
+    for vid in sorted(set(inst.vertices) - on_outer):
+        if rng.random() < prob:
+            height[vid] = outer(inst.vertices[vid])
+    for pid in inst.pieces:
+        if pid != "out":
+            args = []
+            for vid in inst.piece_vertices[pid]:
+                v = inst.vertices[vid]
+                args += [(v.x, v.y), height[vid]]
+            doc["pieces"][pid]["affine"] = [
+                rat_to_json(c) for c in corpus._plane_through(*args)]
+    return doc
+
+
+def test_sparsify_retraces_a_piece_that_touches_itself():
+    inst = model.parse_instance(_outer_heights_doc(1013, 20, 0.6, 13))
+    slim = model.sparsify(inst)
+    assert model.validate(slim).ok
+    dec = decompose(slim)
+    terms = maxform.reduce(dec, slim.p)
+    net = network.build_network(terms)
+    assert verify_equivalence(slim, dec, terms, net, n=60).certified
+    assert verify_lemma_suite(slim, n=20).certified
 
 
 def test_boundary_retrace_rejects_edges_leaving_a_vertex_together():

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cpa2relu import sides
+from cpa2relu import model, sides
 from cpa2relu.errors import GeneralPositionError, OnBoundaryError
-from cpa2relu.geometry import pt
+from cpa2relu.geometry import cross, pt, same_direction, sub, translate
 from cpa2relu.sides import ConicCoeff
 from cpa2relu.verify import sample_general_position
 
@@ -117,3 +117,60 @@ def test_halfplane_query_on_hull_is_rejected(corpus_insts):
     inst = corpus_insts["half_plane"]
     with pytest.raises(GeneralPositionError):
         sides.edge_halfplane_contains(inst, "L", "l", pt(0, 44))
+
+
+def _in_ccw_sector(start, end, u):
+    c = cross(start, end)
+    if c > 0:
+        return cross(start, u) > 0 and cross(u, end) > 0
+    if c < 0:
+        return not (cross(end, u) >= 0 and cross(u, start) >= 0)
+    return cross(start, u) > 0
+
+
+def _restricted_cone(inst, pid, vid, x):
+    """The cone test vertex_cone_contains replaced: the star of the
+    piece's own edges at the vertex, scanned sector by sector with
+    Fraction cross products."""
+    v = inst.vertices[vid]
+    if x == v:
+        raise GeneralPositionError("at the vertex")
+    star = [(d, ccw) for d, ccw, cw in model.vertex_star(inst, vid)
+            if pid in (ccw, cw)]
+    u = sub(x, v)
+    if any(same_direction(d, u) for d, _ in star):
+        raise GeneralPositionError("along an edge of the piece")
+    hits = [ccw == pid for i, (d, ccw) in enumerate(star)
+            if _in_ccw_sector(d, star[(i + 1) % len(star)][0], u)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeneralPositionError:
+        return "raises"
+
+
+def test_vertex_cone_matches_the_piece_star_reference(corpus_insts):
+    checked = along_other = 0
+    for name, inst in corpus_insts.items():
+        pts = sample_general_position(inst, 3, 12)
+        for pid in inst.pieces:
+            for vid in inst.piece_vertices[pid]:
+                v = inst.vertices[vid]
+                # the vertex itself, points along every edge at it (the
+                # piece's own and other pieces'), and general points
+                probes = [v] + pts
+                for d, ccw, cw in model.vertex_star(inst, vid):
+                    probes += [translate(v, d, Fraction(1, 3)),
+                               translate(v, d, 5)]
+                    along_other += 2 * (pid not in (ccw, cw))
+                for x in probes:
+                    want = _outcome(_restricted_cone, inst, pid, vid, x)
+                    got = _outcome(sides.vertex_cone_contains, inst, pid,
+                                   vid, x)
+                    assert got == want, (name, pid, vid, x)
+                    checked += 1
+    assert along_other > 0 and checked > 1000
