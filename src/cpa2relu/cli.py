@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ from .render import render_svg
 from .verify import verify_equivalence, verify_lemma_suite
 
 _MODES = {"exact": EXACT, "f64": FLOAT64}
+
+# argparse takes only "-2" or "-0.5" for a negative number and reads "-1/2"
+# as an unknown flag; the subcommands with rational arguments widen this.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _nonneg(text: str) -> int:
@@ -74,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="embed a float64 copy of the weights")
 
     c = sub.add_parser("eval", help="evaluate a compiled network at a point")
+    c._negative_number_matcher = _NEGATIVE_NUMBER
     c.add_argument("network")
     c.add_argument("--point", nargs=2, type=_rational, required=True,
                    metavar=("X", "Y"),
@@ -97,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="piece count of the source instance")
 
     c = sub.add_parser("render", help="draw the subdivision as SVG")
+    c._negative_number_matcher = _NEGATIVE_NUMBER
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--width", type=_positive, default=640)

@@ -1,10 +1,15 @@
-"""Exact evaluation kernels on integer pairs.
+"""Exact evaluation kernels on plain ints.
 
-Rationals travel as (numerator, denominator) int pairs with positive
-denominators, points as (xn, xd, yn, yd).  Working on plain ints skips
-the Fraction object and the gcd that each Fraction operation pays; the
-kernels reduce once per accumulated value instead.  All arithmetic is
-exact.  TermList.__call__, network.eval_network and the crossing-parity
+Points travel as (xn, xd, yn, yd) with positive denominators.  Working on
+plain ints skips the Fraction object and the gcd that each Fraction
+operation pays.  eval_terms carries (numerator, denominator) pairs and
+reduces once per accumulated value.  forward_layers needs no
+denominators at all: each network unit carries a fixed integer scale,
+folded into its row's integer weights once per network, so a forward
+pass is integer multiply-adds and one division at the end.  ReLU
+commutes with a positive scale (max(e*z, 0) = e*max(z, 0) for e > 0), so
+it is applied to the scaled ints directly.  All arithmetic is exact.
+TermList.__call__, network.eval_network and the crossing-parity
 membership in model run on these kernels.
 """
 from math import gcd
@@ -54,35 +59,27 @@ def eval_terms(terms, xn, xd, yn, yd):
     return acc_n, acc_d
 
 
-def forward_layers(layers, xn, xd, yn, yd):
-    """Exact forward pass of affine layers with ReLU between them.
+def forward_layers(layers, scale, xn, xd, yn, yd):
+    """Exact forward pass of integer layers with ReLU between them.
 
-    layers is a list of (rows, triplets, bias): triplets are
-    (row, col, wn, wd) with wd > 0, bias a list of (bn, bd) pairs with
-    bd > 0.  ReLU is applied after every layer except the last; the last
-    layer must have a single row.  Returns a reduced rational pair.
+    layers is a list of layers, each a list of rows (pairs, B) where
+    pairs is a tuple of (col, W) int pairs; the last layer has one row.
+    Each unit c has an integer scale e_c > 0 (see network._kernel_form),
+    and the pass carries A_c = e_c * P * a_c in place of the unit's exact
+    value a_c, with P = xd*yd.  So x and y (scale 1) enter as xn*yd and
+    yn*xd, and a row computes A_q = B*P + sum W*A_c.  ReLU is
+    max(A_q, 0), exact because e_q*P > 0.  scale is the output unit's
+    e; returns (A, scale*P), whose quotient is the output.
     """
-    vals = [(xn, xd), (yn, yd)]
+    P = xd * yd
+    vals = (xn * yd, yn * xd)
     last = len(layers) - 1
-    for li, (rows, triplets, bias) in enumerate(layers):
-        acc = [(bn, bd) for (bn, bd) in bias]
-        for (r, c, wn, wd) in triplets:
-            vn, vd = vals[c]
-            pn = wn * vn
-            pd = wd * vd
-            an, ad = acc[r]
-            acc[r] = (an * pd + pn * ad, ad * pd)
+    for li, rows in enumerate(layers):
         out = []
-        for (n, d) in acc:
-            g = gcd(abs(n), d)
-            if g > 1:
-                n //= g
-                d //= g
-            if li != last and n <= 0:
-                out.append((0, 1))
-            else:
-                out.append((n, d))
+        for pairs, z in rows:
+            z *= P
+            for c, w in pairs:
+                z += w * vals[c]
+            out.append(z if z > 0 or li == last else 0)
         vals = out
-    if len(vals) != 1:
-        raise ValueError("final layer must produce a single value")
-    return vals[0]
+    return vals[0], scale * P

@@ -11,13 +11,20 @@ first-layer neurons and three second-layer neurons:
 
 Blocks are disjoint: term n owns rows 5n..5n+4 and 3n..3n+2, so the whole
 network has O(1) nonzero parameters per term.  Weights stay rational end to
-end; a float64 evaluation path exists for sanity checks only.
+end in the layers, the exports and the imports.  For exact evaluation each
+network caches an integer form of its layers (_kernel_form): every unit
+gets an integer scale, the lcm of the denominators its row needs, and
+every row stores its weights and bias multiplied by it.  ReLU commutes
+with a positive scale, so kernels.forward_layers runs the whole pass on
+ints and eval_network divides once at the end.  A float64 evaluation path
+exists for sanity checks only.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Tuple
 
 from .errors import EmptyTermListError, SchemaError
@@ -124,15 +131,33 @@ def build_network(terms: TermList) -> ReluNetwork:
 
 
 def _kernel_form(net: ReluNetwork):
-    out = []
+    """Integer rows of every layer and the output unit's scale.
+
+    Unit c carries an integer scale s_c (1 for x and y).  Row q gets
+    e_q = lcm(den b_q, den w_qc * s_c over its weights) and stores
+    W_qc = w_qc * e_q / s_c and B_q = b_q * e_q, both ints; e_q becomes
+    the scale of unit q.  Built on numerators and denominators only.
+    """
+    scales = (1, 1)
+    layers = []
     for layer in net.layers:
-        trips = sorted(
-            (r, c, w.numerator, w.denominator)
-            for (r, c), w in layer.weights.items()
-        )
-        bias = [(b.numerator, b.denominator) for b in layer.bias]
-        out.append((layer.rows, trips, bias))
-    return out
+        bias = [b.as_integer_ratio() for b in layer.bias]
+        es = [bd for _, bd in bias]
+        flat = []
+        for (r, c), w in layer.weights.items():
+            n, d = w.as_integer_ratio()
+            d *= scales[c]
+            e = es[r]
+            if e % d:
+                es[r] = lcm(e, d)
+            flat.append((r, c, n, d))
+        pairs = [[] for _ in es]
+        for r, c, n, d in flat:
+            pairs[r].append((c, n * (es[r] // d)))
+        layers.append([(tuple(p), bn * (e // bd))
+                       for p, (bn, bd), e in zip(pairs, bias, es)])
+        scales = es
+    return layers, scales[0]
 
 
 def _float_form(net: ReluNetwork):
@@ -164,7 +189,7 @@ def eval_network(net: ReluNetwork, x: Point, mode: str = EXACT):
         if kl is None:
             kl = net._cache["kernel"] = _kernel_form(net)
         n, d = forward_layers(
-            kl, x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
+            *kl, x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
         )
         return Fraction(n, d)
     if mode == FLOAT64:

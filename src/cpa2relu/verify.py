@@ -11,8 +11,9 @@ the box, and nothing more.  The stage evaluators are exact: the instance
 through crossing-parity membership; the decomposition with its sectors
 and sides decided on integers (geometry.sector_index for each fan,
 kernels.line_sign for each edge pair) and its values in Fractions; the
-term list and the network through the integer kernels in
-cpa2relu.kernels.
+term list through the integer kernels in cpa2relu.kernels; the network
+through kernels.forward_layers on its cached integer rows, each unit
+scaled by an integer that ReLU commutes with, divided once at the output.
 
 Reports are plain data and fully reproducible: the same instance and seed
 always produce byte-identical JSON.

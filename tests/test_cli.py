@@ -2,6 +2,7 @@
 import json
 import shlex
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,14 @@ def test_compile_eval_round_trip(tmp_path, corpus_dir, capsys):
     assert cli.run(["eval", str(net), "--point", "0", "8",
                     "--mode", "f64"]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0)
+
+    # negative rationals are coordinates, not flags
+    assert cli.run(["eval", str(net), "--point", "1/3", "-2/7"]) == 0
+    exact = Fraction(capsys.readouterr().out.strip())
+    assert cli.run(["eval", str(net), "--point", "1/3", "-2/7",
+                    "--mode", "f64"]) == 0
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(
+        float(exact))
 
 
 def test_verify_certifies(corpus_dir, capsys):
@@ -132,6 +141,12 @@ def test_render_svg_structure(tmp_path, corpus_dir):
     assert len(labels) == 6     # one per piece, at its witness
     dashed = [p for p in paths if p.get("stroke-dasharray")]
     assert len(dashed) == 3     # the three clipped rays
+
+    # a viewport with negative rational corners parses as coordinates
+    assert cli.run(["render", str(corpus_dir / "disconnected_cone.json"),
+                    "-o", str(out_path), "--viewport", "-7/2", "-3", "4",
+                    "5/2"]) == 0
+    assert ET.fromstring(out_path.read_text()).tag == f"{SVG_NS}svg"
 
 
 def test_missing_input_is_usage_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from cpa2relu import kernels
+from cpa2relu import kernels, network
 
 ints = st.integers(-10**6, 10**6)
 pos = st.integers(1, 10**6)
@@ -44,27 +44,45 @@ def test_eval_terms_matches_fractions(terms, xp, yp):
     assert Fraction(n, d) == _terms_reference(terms, x, y)
 
 
+small_dens = st.integers(1, 60)
+weights = st.builds(Fraction, ints.filter(bool), small_dens)
+biases = st.builds(Fraction, ints, small_dens)
+
+
+def _layer(data, rows, cols):
+    """A random sparse layer with mixed denominators, at least one weight."""
+    keys = data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                        st.integers(0, cols - 1)),
+                              min_size=1, max_size=2 * rows, unique=True))
+    w = {k: data.draw(weights) for k in keys}
+    b = data.draw(st.lists(biases, min_size=rows, max_size=rows))
+    return w, b
+
+
+def _preacts(w, b, vals):
+    acc = list(b)
+    for (r, c), v in w.items():
+        acc[r] += v * vals[c]
+    return acc
+
+
 @given(rat_pairs, rat_pairs, st.data())
 def test_forward_layers_matches_fractions(xp, yp, data):
-    """Random two-layer stacks against a Fraction forward pass."""
-    w = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
-                                     ints, pos),
-                           min_size=1, max_size=8))
-    bias1 = data.draw(st.lists(rat_pairs, min_size=3, max_size=3))
-    w2 = data.draw(st.lists(st.tuples(st.just(0), st.integers(0, 2),
-                                      ints, pos),
-                            min_size=1, max_size=4))
-    bias2 = data.draw(st.lists(rat_pairs, min_size=1, max_size=1))
-    layers = [(3, sorted(set(w)), bias1), (1, sorted(set(w2)), bias2)]
-    got = kernels.forward_layers(layers, xp[0], xp[1], yp[0], yp[1])
-
-    # Fraction reference
+    """Random three-layer stacks, built into integer rows, against a
+    Fraction forward pass.  Weights and biases in every layer are
+    rationals with mixed denominators, so hidden units carry scales other
+    than 1; row 0 of each hidden layer is shifted to a pre-activation of
+    exactly 0."""
     vals = [Fraction(*xp), Fraction(*yp)]
-    acc = [Fraction(bn, bd) for bn, bd in bias1]
-    for r, c, wn, wd in layers[0][1]:
-        acc[r] += Fraction(wn, wd) * vals[c]
-    hidden = [max(v, Fraction(0)) for v in acc]
-    out = Fraction(*bias2[0])
-    for r, c, wn, wd in layers[1][1]:
-        out += Fraction(wn, wd) * hidden[c]
-    assert Fraction(*got) == out
+    layers = []
+    for rows, cols in ((5, 2), (3, 5), (1, 3)):
+        w, b = _layer(data, rows, cols)
+        if rows > 1:
+            b[0] -= _preacts(w, b, vals)[0]
+        acc = _preacts(w, b, vals)
+        vals = [max(v, Fraction(0)) for v in acc]
+        layers.append(network.AffineLayer(rows, cols, w, tuple(b)))
+    rows, scale = network._kernel_form(network.ReluNetwork(tuple(layers)))
+    n, d = kernels.forward_layers(rows, scale, xp[0], xp[1], yp[0], yp[1])
+    assert d > 0
+    assert Fraction(n, d) == acc[0]

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cpa2relu import network
 from cpa2relu.errors import EmptyTermListError, SchemaError
-from cpa2relu.geometry import pt
+from cpa2relu.geometry import pt, rat_to_json
 from cpa2relu.maxform import MaxTerm, TermList
 from cpa2relu.model import AffineFunc
 from cpa2relu.network import (
@@ -154,6 +154,46 @@ def test_import_rejects_malformed_docs(compiled, mutation):
     mutation(doc)
     with pytest.raises(SchemaError):
         import_network(doc)
+
+
+doc_rats = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 97))
+far_rats = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 50))
+
+
+@st.composite
+def network_docs(draw):
+    """Exported-form documents for a 2 -> 5N -> 3N -> 1 network with
+    arbitrary rational weights and biases in every layer."""
+    n = draw(st.integers(1, 2))
+    dims = [2, 5 * n, 3 * n, 1]
+    layers = []
+    for cols, rows in zip(dims, dims[1:]):
+        keys = draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            min_size=1, max_size=2 * rows, unique=True))
+        trips = [[r, c, rat_to_json(draw(doc_rats.filter(bool)))]
+                 for r, c in sorted(keys)]
+        bias = [rat_to_json(draw(doc_rats)) for _ in range(rows)]
+        layers.append({"rows": rows, "cols": cols, "triplets": trips,
+                       "bias": bias})
+    return {"dims": dims, "layers": layers}
+
+
+def _doc_forward(doc, x, y):
+    """Fraction forward pass read straight off the document."""
+    vals = [x, y]
+    for li, layer in enumerate(doc["layers"]):
+        acc = [Fraction(b) for b in layer["bias"]]
+        for r, c, w in layer["triplets"]:
+            acc[r] += Fraction(w) * vals[c]
+        vals = acc if li == 2 else [max(v, Fraction(0)) for v in acc]
+    return vals[0]
+
+
+@given(network_docs(), far_rats, far_rats)
+def test_imported_network_matches_fraction_forward(doc, x, y):
+    net = import_network(doc)
+    assert eval_network(net, pt(x, y)) == _doc_forward(doc, x, y)
 
 
 def test_import_rejects_non_object():
