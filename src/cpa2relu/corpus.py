@@ -15,6 +15,9 @@ from .errors import RetriesExhaustedError
 from .model import parse_instance, serialize_instance, validate
 
 DEFAULT_RANDOM_SEED = 7
+RANDOM_COORD_RANGE = 9  # random_instance draws integer coordinates in [-9, 9]
+RANDOM_MAX_ATTEMPTS = 32
+LAWSON_MAX_PASSES = 64
 
 
 def single_piece() -> dict:
@@ -363,9 +366,9 @@ def _has_directed(tri, u, v) -> bool:
     return any(tri[i] == u and tri[(i + 1) % 3] == v for i in range(3))
 
 
-def _lawson_flips(tris, max_passes: int = 64):
+def _lawson_flips(tris):
     """Flip non-Delaunay interior edges until none remain."""
-    for _ in range(max_passes):
+    for _ in range(LAWSON_MAX_PASSES):
         edge_tris: dict = {}
         for idx, tri in enumerate(tris):
             for i in range(3):
@@ -419,8 +422,7 @@ def _off_all_lines(x: Fraction, y: Fraction, lines) -> bool:
     return all(A * x + B * y + C != 0 for (A, B, C) in lines)
 
 
-def random_instance(seed: int = DEFAULT_RANDOM_SEED, n_points: int = 10,
-                    coord_range: int = 9, max_attempts: int = 32) -> dict:
+def random_instance(seed: int = DEFAULT_RANDOM_SEED, n_points: int = 10) -> dict:
     """Random bounded triangulated instance with one unbounded piece.
 
     Hull vertex heights are pinned to a random ambient affine so the
@@ -428,24 +430,25 @@ def random_instance(seed: int = DEFAULT_RANDOM_SEED, n_points: int = 10,
     pushed off that plane, which keeps the function genuinely piecewise.
     Retries with derived seeds until the instance validates.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(RANDOM_MAX_ATTEMPTS):
         rng = random.Random(f"{seed}/{attempt}")
-        doc = _random_attempt(rng, n_points, coord_range)
+        doc = _random_attempt(rng, n_points)
         if doc is None:
             continue
         inst = parse_instance(doc)
         if validate(inst).ok:
             return doc
     raise RetriesExhaustedError(
-        f"no valid random instance after {max_attempts} attempts (seed {seed})")
+        f"no valid random instance after {RANDOM_MAX_ATTEMPTS} attempts "
+        f"(seed {seed})")
 
 
-def _random_attempt(rng: random.Random, n_points: int, coord_range: int):
+def _random_attempt(rng: random.Random, n_points: int):
     pts: set = set()
     guard = 0
     while len(pts) < n_points:
-        pts.add((rng.randint(-coord_range, coord_range),
-                 rng.randint(-coord_range, coord_range)))
+        pts.add((rng.randint(-RANDOM_COORD_RANGE, RANDOM_COORD_RANGE),
+                 rng.randint(-RANDOM_COORD_RANGE, RANDOM_COORD_RANGE)))
         guard += 1
         if guard > 100 * n_points:
             return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import kernels
@@ -419,7 +419,9 @@ def _random_box_point(box: tuple[Rat, Rat, Rat, Rat],
                       rng: random.Random) -> Point:
     """A random rational point of the closed box.  Each coordinate draws
     its denominator uniformly from SAMPLE_DENOMINATORS, then its
-    numerator among the multiples of 1/den inside the box."""
+    numerator among the multiples of 1/den inside the box.  When no
+    multiple of 1/den lies in [lo, hi], den is multiplied by the
+    denominators of lo and hi, which makes both of them multiples."""
     xmin, ymin, xmax, ymax = box
     coords = []
     for lo, hi in ((xmin, xmax), (ymin, ymax)):
@@ -427,7 +429,9 @@ def _random_box_point(box: tuple[Rat, Rat, Rat, Rat],
         nlo = -((-lo.numerator * den) // lo.denominator)
         nhi = (hi.numerator * den) // hi.denominator
         if nlo > nhi:
-            nlo = nhi
+            den *= lo.denominator * hi.denominator
+            nlo = lo.numerator * den // lo.denominator
+            nhi = hi.numerator * den // hi.denominator
         coords.append(Fraction(rng.randint(nlo, nhi), den))
     return Point(*coords)
 
@@ -946,10 +950,17 @@ def _trace_components(edges: dict[str, tuple[EdgeGeom, tuple[str, ...]]],
 def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance:
     """Collapse redundant structure without changing the function.
 
-    Neighbouring pieces carrying the same affine are merged (their common
-    edges vanish), then every remaining degree-2 vertex joins its two
-    collinear incident edges.  The result has no degree-2 vertices,
-    at most the original number of pieces, and at most 3p edges.
+    Pass 1 is one union-find over the edges: pieces joined by an edge
+    whose two affines coincide form a group, kept under its smallest
+    piece id and that piece's witness; edges inside a group and vertices
+    left with no edges go.  Pass 2 is one sweep over the sorted vertex
+    ids that joins the two collinear edges at each degree-2 vertex into
+    a new edge m0, m1, ...; a contraction changes no other vertex's
+    degree or away-directions, so one sweep finds them all.  A degree-2
+    vertex with a genuine corner (square corners, say) stays.  Pieces
+    either pass changed are retraced; the others keep their declared
+    boundary.  The result has at most the original number of pieces and
+    at most 3p edges.
     """
     if not skip_validation:
         report = validate(inst)
@@ -957,128 +968,84 @@ def sparsify(inst: CPAInstance, *, skip_validation: bool = False) -> CPAInstance
             bad = [c.name for c in report.checks if not c.passed]
             raise InvalidInputError(f"instance fails validation: {bad}")
 
-    vertices = dict(inst.vertices)
-    egeom: dict[str, EdgeGeom] = {eid: e.geom for eid, e in inst.edges.items()}
-    evids: dict[str, tuple[str, ...]] = {eid: e.vertex_ids for eid, e in inst.edges.items()}
-    epieces: dict[str, tuple[str, str]] = {eid: e.pieces for eid, e in inst.edges.items()}
-    paffine = {pid: p.affine for pid, p in inst.pieces.items()}
-    pwitness = {pid: p.witness for pid, p in inst.pieces.items()}
-    pcomps: dict[str, list[BoundaryComponent] | None] = {
-        pid: list(p.boundary) for pid, p in inst.pieces.items()}
-
-    def piece_edge_set(pid: str) -> list[str]:
-        return sorted(e for e, ps in epieces.items() if pid in ps)
-
     # pass 1: merge pieces joined by an edge whose two affines coincide
-    while True:
-        hit = None
-        for eid in sorted(epieces):
-            a, b = epieces[eid]
-            if paffine[a] == paffine[b]:
-                hit = (eid, a, b)
-                break
-        if hit is None:
-            break
-        _, a, b = hit
-        keep, drop = sorted((a, b))
-        shared = [e for e, ps in epieces.items() if set(ps) == {a, b}]
-        for e in shared:
-            del egeom[e], evids[e], epieces[e]
-        for e, ps in list(epieces.items()):
-            epieces[e] = tuple(keep if q == drop else q for q in ps)
-        del paffine[drop], pwitness[drop], pcomps[drop]
-        pcomps[keep] = None  # boundary must be retraced
-        used_vs = {v for vs in evids.values() for v in vs}
-        for vid in list(vertices):
-            if vid not in used_vs:
-                del vertices[vid]
+    group = {pid: pid for pid in inst.pieces}
+
+    def find(pid: str) -> str:
+        while group[pid] != pid:
+            group[pid] = group[group[pid]]
+            pid = group[pid]
+        return pid
+
+    for e in inst.edges.values():
+        a, b = e.pieces
+        if inst.pieces[a].affine == inst.pieces[b].affine:
+            keep, drop = sorted((find(a), find(b)))
+            group[drop] = keep
+    changed = {find(pid) for pid in inst.pieces if find(pid) != pid}
+    egeom: dict[str, EdgeGeom] = {}
+    evids: dict[str, tuple[str, ...]] = {}
+    epieces: dict[str, tuple[str, str]] = {}
+    incident: dict[str, list[str]] = {}
+    for eid, e in inst.edges.items():
+        a, b = find(e.pieces[0]), find(e.pieces[1])
+        if a != b:
+            egeom[eid], evids[eid], epieces[eid] = e.geom, e.vertex_ids, (a, b)
+            for v in e.vertex_ids:
+                incident.setdefault(v, []).append(eid)
+    vertices = {vid: inst.vertices[vid] for vid in incident}
 
     # pass 2: remove degree-2 vertices whose incident edges are collinear.
-    # A degree-2 vertex with a genuine corner (square corners, say) stays.
     # origin maps a merged edge to the input edge its first part e1 came
     # from, and whether its int_line runs against that edge's.  Renaming
     # and merging keep the positions in each pieces pair, so left_piece
     # can read the left piece off the input edge's edge_sides.
     origin: dict[str, tuple[str, int]] = {}
     counter = 0
-    while True:
-        deg: dict[str, list[str]] = {v: [] for v in vertices}
-        for eid, vs in evids.items():
-            for v in vs:
-                deg[v].append(eid)
-        target = None
-        for vid in sorted(deg):
-            if len(deg[vid]) != 2:
-                continue
-            f1, f2 = (away_direction(egeom[e], vertices[vid])
-                      for e in sorted(deg[vid]))
-            if cross(f1, f2) == 0 and dot(f1, f2) < 0:
-                target = vid
-                break
-        if target is None:
-            break
-        e1, e2 = sorted(deg[target])
+    for vid in sorted(incident):
+        if len(incident[vid]) != 2:
+            continue
+        e1, e2 = sorted(incident[vid])
+        f1, f2 = (away_direction(egeom[e], vertices[vid]) for e in (e1, e2))
+        if not (cross(f1, f2) == 0 and dot(f1, f2) < 0):
+            continue
         if set(epieces[e1]) != set(epieces[e2]):
             raise InvalidInputError(
-                f"degree-2 vertex {target} separates different piece pairs")
-        merged = _merged_geom(egeom[e1], egeom[e2], vertices[target])
+                f"degree-2 vertex {vid} separates different piece pairs")
+        merged = _merged_geom(egeom[e1], egeom[e2], vertices[vid])
         while f"m{counter}" in egeom:
             counter += 1
         mid = f"m{counter}"
         counter += 1
-        new_vids = tuple(v for v in (*evids[e1], *evids[e2]) if v != target)
         egeom[mid] = merged
-        evids[mid] = new_vids
+        evids[mid] = tuple(v for v in (*evids[e1], *evids[e2]) if v != vid)
         epieces[mid] = epieces[e1]
         src, flip = origin.get(e1, (e1, 0))
         origin[mid] = (src, flip ^ (int_line(merged) != int_line(egeom[e1])))
-        for pid in set(epieces[e1]):
-            comps = pcomps[pid]
-            if comps is None:
-                continue
-            out = []
-            for comp in comps:
-                es = list(comp.edges)
-                if e1 in es or e2 in es:
-                    es = _splice_pair(es, comp.kind, e1, e2, mid)
-                out.append(BoundaryComponent(comp.kind, tuple(es)))
-            pcomps[pid] = out
+        for v in evids[mid]:
+            incident[v] = [mid if e in (e1, e2) else e for e in incident[v]]
+        changed.update(epieces[mid])
         del egeom[e1], evids[e1], epieces[e1]
         del egeom[e2], evids[e2], epieces[e2]
-        del vertices[target]
+        del vertices[vid]
 
     def left_piece(eid: str) -> str:
         src, flip = origin.get(eid, (eid, 0))
         left = edge_sides(inst, src)[0]
         return epieces[eid][inst.edges[src].pieces.index(left) ^ flip]
 
-    # retrace boundaries of merged pieces
     pieces: dict[str, Piece] = {}
-    for pid in sorted(paffine):
-        comps = pcomps[pid]
-        if comps is None:
-            eset = {e: (egeom[e], evids[e]) for e in piece_edge_set(pid)}
+    for pid, p in inst.pieces.items():
+        if find(pid) != pid:
+            continue
+        if pid in changed:
+            eset = {e: (egeom[e], evids[e]) for e in sorted(egeom)
+                    if pid in epieces[e]}
             forward = {e: left_piece(e) == pid for e in eset
                        if not isinstance(egeom[e], Line)}
-            comps = _trace_components(eset, forward)
-        pieces[pid] = Piece(pid, paffine[pid], tuple(comps), pwitness[pid])
+            p = replace(p, boundary=tuple(_trace_components(eset, forward)))
+        pieces[pid] = p
 
     edges = {eid: EdgeRec(eid, egeom[eid], epieces[eid], evids[eid])
              for eid in egeom}
     return CPAInstance(vertices, edges, pieces)
-
-
-def _splice_pair(es: list[str], kind: str, e1: str, e2: str, mid: str) -> list[str]:
-    """Replace the adjacent pair e1, e2 in a component chain by mid."""
-    n = len(es)
-    for i, e in enumerate(es):
-        if e not in (e1, e2):
-            continue
-        j = (i + 1) % n
-        if es[j] in (e1, e2) and es[j] != e and (kind == CYCLE or j != 0):
-            out = [x for k, x in enumerate(es) if k not in (i, j)]
-            out.insert(min(i, j) if (kind == ARC or j != 0) else 0, mid)
-            if kind == CYCLE and len(out) < 3:
-                raise InvalidInputError("cycle degenerated during merge")
-            return out
-    raise InvalidInputError(f"edges {e1}, {e2} are not adjacent in {es}")

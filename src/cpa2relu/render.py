@@ -15,6 +15,7 @@ from .geometry import (EdgeGeom, Line, Point, Ray, Segment, edge_base,
 from .model import CPAInstance
 
 Box = Tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, ymin, xmax, ymax
+FONT_SIZE = 13.0  # of the piece labels
 
 
 def _clip_to_box(g: EdgeGeom, box: Box) -> Optional[Tuple[Point, Point]]:
@@ -45,8 +46,7 @@ def _clip_to_box(g: EdgeGeom, box: Box) -> Optional[Tuple[Point, Point]]:
 
 
 def render_svg(inst: CPAInstance, *, width: int = 640, height: int = 640,
-               viewport: Optional[Box] = None, stroke: float = 1.5,
-               font_size: float = 13.0) -> str:
+               viewport: Optional[Box] = None, stroke: float = 1.5) -> str:
     """Render the subdivision as an SVG 1.1 document string."""
     if viewport is None:
         viewport = inst.bbox()
@@ -82,7 +82,7 @@ def render_svg(inst: CPAInstance, *, width: int = 640, height: int = 640,
                      f'r="{stroke * 2:.2f}" fill="#222"/>')
     for pid in sorted(inst.pieces):
         x, y = to_px(inst.pieces[pid].witness)
-        parts.append(f'<text x="{x:.2f}" y="{y:.2f}" font-size="{font_size}" '
+        parts.append(f'<text x="{x:.2f}" y="{y:.2f}" font-size="{FONT_SIZE}" '
                      f'text-anchor="middle" fill="#1a4a8a" '
                      f'font-family="sans-serif">{pid}</text>')
     parts.append("</svg>")

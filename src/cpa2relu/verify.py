@@ -180,6 +180,8 @@ def verify_lemma_suite(inst: CPAInstance, n: int = 1000,
 # Mutation testing: the verifier must notice sabotage
 
 MUTATION_KINDS = ("flip_sigma1", "flip_sigma2", "perturb_weight", "drop_term")
+MUTATION_PROBES = 16
+MUTATION_MAX_TRIES = 500
 
 
 @dataclass(frozen=True)
@@ -203,14 +205,14 @@ def _differs(f: Callable[[Point], Fraction], g: Callable[[Point], Fraction],
 
 
 def seeded_mutations(terms: TermList, seed: int, count: int = 20,
-                     probes: int = 16, max_tries: int = 500,
                      visible_at: Optional[list[Point]] = None) -> list[Mutation]:
     """count seeded corruptions of the term list or network weights.
 
     Sign flips and weight bumps can happen to leave the represented
     function unchanged (a dead branch of a max, say); candidates are
-    probed at random points and silent ones are resampled, so every
-    returned Mutation provably changes the function somewhere.
+    probed at MUTATION_PROBES random points and silent ones are
+    resampled, up to MUTATION_MAX_TRIES draws in all, so every returned
+    Mutation provably changes the function somewhere.
 
     A corruption can also be real yet invisible to a verifier that only
     samples near the instance (flipping the inner sign of an affine
@@ -225,35 +227,14 @@ def seeded_mutations(terms: TermList, seed: int, count: int = 20,
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
-            raise InvalidInputError(
-                f"only {len(out)} functional mutations found in {max_tries} tries")
+        if tries > MUTATION_MAX_TRIES:
+            raise InvalidInputError(f"only {len(out)} functional mutations "
+                                    f"found in {MUTATION_MAX_TRIES} tries")
         kind = MUTATION_KINDS[rng.randrange(len(MUTATION_KINDS))]
-        pts = _probe_points(rng, probes)
+        pts = _probe_points(rng, MUTATION_PROBES)
         if visible_at is not None:
             pts = visible_at
-        if kind in ("flip_sigma1", "flip_sigma2"):
-            i = rng.randrange(len(terms.terms))
-            t = terms.terms[i]
-            t2 = (replace(t, sigma1=-t.sigma1) if kind == "flip_sigma1"
-                  else replace(t, sigma2=-t.sigma2))
-            cand = TermList(terms=terms.terms[:i] + (t2,) + terms.terms[i + 1:],
-                            source_p=terms.source_p)
-            if not _differs(terms, cand, pts):
-                continue
-            out.append(Mutation(kind, f"term {i}", cand, build_network(cand),
-                                "terms"))
-        elif kind == "drop_term":
-            if len(terms.terms) < 2:
-                continue
-            i = rng.randrange(len(terms.terms))
-            cand = TermList(terms=terms.terms[:i] + terms.terms[i + 1:],
-                            source_p=terms.source_p)
-            if not _differs(terms, cand, pts):
-                continue
-            out.append(Mutation(kind, f"term {i}", cand, build_network(cand),
-                                "terms"))
-        else:  # perturb_weight
+        if kind == "perturb_weight":
             li = rng.randrange(3)
             layer = net0.layers[li]
             keys = sorted(layer.weights)
@@ -267,9 +248,24 @@ def seeded_mutations(terms: TermList, seed: int, count: int = 20,
             nl = list(net0.layers)
             nl[li] = AffineLayer(layer.rows, layer.cols, w2, layer.bias)
             net2 = ReluNetwork(tuple(nl))
-            if not _differs(lambda x: eval_network(net0, x),
-                            lambda x: eval_network(net2, x), pts):
-                continue
-            out.append(Mutation(kind, f"layer {li} weight ({r}, {c})",
-                                terms, net2, "network"))
+            if _differs(lambda x: eval_network(net0, x),
+                        lambda x: eval_network(net2, x), pts):
+                out.append(Mutation(kind, f"layer {li} weight ({r}, {c})",
+                                    terms, net2, "network"))
+            continue
+        if kind == "drop_term" and len(terms.terms) < 2:
+            continue
+        i = rng.randrange(len(terms.terms))
+        t = terms.terms[i]
+        if kind == "drop_term":
+            mutated: tuple = ()
+        elif kind == "flip_sigma1":
+            mutated = (replace(t, sigma1=-t.sigma1),)
+        else:
+            mutated = (replace(t, sigma2=-t.sigma2),)
+        cand = TermList(terms=terms.terms[:i] + mutated + terms.terms[i + 1:],
+                        source_p=terms.source_p)
+        if _differs(terms, cand, pts):
+            out.append(Mutation(kind, f"term {i}", cand, build_network(cand),
+                                "terms"))
     return out

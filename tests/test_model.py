@@ -286,6 +286,26 @@ def test_sampler_stays_off_hulls(corpus_insts):
             assert a * x.x + b * x.y + c != 0
 
 
+def test_sampler_stays_in_a_box_narrower_than_one():
+    # every coordinate lies in [1/500, 1/400], so the box is
+    # [7/4000, 11/4000] on both axes: for most denominators below 1000
+    # no multiple of 1/den lies in it
+    doc = {"vertices": {},
+           "edges": {"l": dict(_line(["9/4000", "9/4000"], [0, 1]),
+                               pieces=["L", "R"])},
+           "pieces": {
+               "L": {"affine": [0, 0, 0], "witness": ["1/500", "1/400"],
+                     "boundary": [{"kind": "arc", "edges": ["l"]}]},
+               "R": {"affine": [1, 0, "-9/4000"], "witness": ["1/400", "1/500"],
+                     "boundary": [{"kind": "arc", "edges": ["l"]}]}}}
+    inst = model.parse_instance(doc)
+    assert model.validate(inst).ok
+    xmin, ymin, xmax, ymax = inst.bbox()
+    assert (xmin, xmax) == (Fraction(7, 4000), Fraction(11, 4000))
+    for x in sample_general_position(inst, 0, 1000):
+        assert xmin <= x.x <= xmax and ymin <= x.y <= ymax
+
+
 # ---------------------------------------------------------------------------
 # sparsification
 
@@ -341,6 +361,42 @@ def test_sparsify_merges_collinear_segments(corpus_docs):
     hat = model.parse_instance(corpus_docs["hat"])
     for x in sample_general_position(inst, 6, 100):
         assert model.eval_cpa(slim, x) == model.eval_cpa(hat, x)
+
+
+def test_sparsify_contracts_a_chain_with_a_reversed_middle_segment(
+        corpus_docs):
+    # hat with its rim sd_se cut into three, the middle part stored
+    # from h2 back to h1.  The sweep contracts h1 (sd1 + sd2 -> m0),
+    # then h2 (m0 + sd3 -> m1); SE and OUT are retraced around m1.
+    doc = copy.deepcopy(corpus_docs["hat"])
+    doc["vertices"].update({"h1": ["1/3", "-2/3"], "h2": ["2/3", "-1/3"]})
+    del doc["edges"]["sd_se"]
+    doc["edges"].update({
+        "sd1": dict(_seg("s", "h1"), pieces=["SE", "OUT"]),
+        "sd2": dict(_seg("h2", "h1"), pieces=["SE", "OUT"]),
+        "sd3": dict(_seg("h2", "e"), pieces=["SE", "OUT"])})
+    for pid in ("SE", "OUT"):
+        edges = doc["pieces"][pid]["boundary"][0]["edges"]
+        i = edges.index("sd_se")
+        edges[i:i + 1] = ["sd1", "sd2", "sd3"]
+    inst = model.parse_instance(doc)
+    assert model.validate(inst).ok
+    slim = model.sparsify(inst)
+    assert [e for e in slim.edges if e not in inst.edges] == ["m1"]
+    assert slim.edges["m1"].geom == Segment(pt(0, -1), pt(1, 0))
+    assert slim.edges["m1"].vertex_ids == ("s", "e")
+    assert slim.pieces["SE"].boundary == (
+        model.BoundaryComponent("cycle", ("m1", "sp_e", "sp_s")),)
+    assert slim.pieces["OUT"].boundary == (
+        model.BoundaryComponent("cycle", ("m1", "sd_ws", "sd_nw", "sd_en")),)
+    assert slim.pieces["NE"].boundary == inst.pieces["NE"].boundary
+    assert model.validate(slim).ok
+    for x in sample_general_position(inst, 4, 60):
+        assert model.eval_cpa(slim, x) == model.eval_cpa(inst, x)
+    dec = decompose(slim)
+    terms = maxform.reduce(dec, slim.p)
+    net = network.build_network(terms)
+    assert verify_equivalence(slim, dec, terms, net, n=60).certified
 
 
 def _split_hat(corpus_docs) -> dict:
@@ -449,6 +505,19 @@ def test_sparsify_retraces_a_piece_that_touches_itself():
     net = network.build_network(terms)
     assert verify_equivalence(slim, dec, terms, net, n=60).certified
     assert verify_lemma_suite(slim, n=20).certified
+
+
+@pytest.mark.parametrize("args", [(1001, 20, 0.3, 1), (1002, 20, 0.6, 2),
+                                  (1003, 20, 0.9, 3), (1005, 40, 0.6, 5)])
+def test_sparsify_on_merge_heavy_draws(args):
+    inst = model.parse_instance(_outer_heights_doc(*args))
+    slim = model.sparsify(inst)
+    assert slim.p < inst.p
+    assert model.validate(slim).ok
+    dec = decompose(slim)
+    terms = maxform.reduce(dec, slim.p)
+    net = network.build_network(terms)
+    assert verify_equivalence(slim, dec, terms, net, n=20).certified
 
 
 def test_boundary_retrace_rejects_edges_leaving_a_vertex_together():
