@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .decompose import decompose, decomposition_to_json
-from .errors import CpaError
+from .errors import CpaError, SchemaError
 from .geometry import rat_to_json, pt
 from .maxform import reduce as reduce_terms
 from .model import parse_instance, serialize_instance, sparsify, validate
@@ -121,7 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path: str, doc) -> None:

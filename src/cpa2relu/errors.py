@@ -4,8 +4,7 @@ __all__ = [
     "CpaError", "SchemaError", "DanglingRefError", "InvalidInputError",
     "OnBoundaryError", "RetriesExhaustedError", "SamplingStalledError",
     "GeneralPositionError", "DuplicateDirectionError", "ContinuityError",
-    "NoPieceFoundError", "NoMergeablePairError", "NotCrossCaseError",
-    "MalformedFanError", "EmptyTermListError",
+    "NoPieceFoundError", "MalformedFanError", "EmptyTermListError",
 ]
 
 
@@ -54,18 +53,9 @@ class NoPieceFoundError(CpaError):
     """A point belongs to no piece, or to several: the cover is broken."""
 
 
-class NoMergeablePairError(CpaError):
-    """No adjacent sector pair of the fan spans an angle below pi."""
-
-
-class NotCrossCaseError(CpaError):
-    """A 4-sector fan was routed to the antipodal split but its rays do not
-    form two opposite pairs."""
-
-
 class MalformedFanError(CpaError):
-    """Fan structure is broken: wrong sector count, or sector affines that
-    do not agree on shared rays."""
+    """Fan structure is broken: its rays are not in strict CCW order, so
+    a three-sector fan has two sector angles of at least pi."""
 
 
 class EmptyTermListError(CpaError):

@@ -1,39 +1,28 @@
 """Reduction of a decomposition to a sum of nested two-level max terms.
 
-Every vertex fan is linearized by the point reflection x -> v - x, peeled
-down to three-sector fans by repeatedly merging an adjacent sector pair
-with combined angle below pi, and each three-sector fan is written as
+Every vertex fan is linearized by the point reflection x -> v - x and
+reduced in one sweep (fan_to_terms): an adjacent sector pair with
+combined angle below pi is merged off as a three-sector fan until three
+sectors are left, and each three-sector fan is written as
 sigma1 * max(f1, sigma2 * max(f2, f3)).  Four-sector fans whose rays form
 two crossing lines admit no such pair and are split into two two-piece
 functions instead.  Edge pairs become plain max/min of their two affines.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from . import kernels
-from .errors import (
-    ContinuityError,
-    MalformedFanError,
-    NoMergeablePairError,
-    NotCrossCaseError,
-)
+from .errors import ContinuityError, MalformedFanError
 from .decompose import Decomposition, EdgePair, Fan, validate_fan
-from .geometry import (
-    X_AXIS,
-    Point,
-    Rat,
-    ccw_angle_cmp,
-    cross,
-    dot,
-    perp,
-    translate,
-)
+from .geometry import X_AXIS, Direction, Point, Rat, ccw_angle_cmp, cross
 from .model import AffineFunc
 
-_ORIGIN = Point(Fraction(0), Fraction(0))
+_ZERO = Fraction(0)
+_ZERO_AFFINE = AffineFunc(_ZERO, _ZERO, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -63,15 +52,6 @@ class MaxTerm:
         return MaxTerm(self.sigma1, self.f1.reflect_through(v),
                        self.sigma2, self.f2.reflect_through(v),
                        self.f3.reflect_through(v))
-
-    def translate_by(self, v: Point) -> "MaxTerm":
-        """A term whose value is self(x - v)."""
-
-        def t(f: AffineFunc) -> AffineFunc:
-            return AffineFunc(f.a, f.b, f.c - f.a * v.x - f.b * v.y)
-
-        return MaxTerm(self.sigma1, t(self.f1), self.sigma2, t(self.f2),
-                       t(self.f3))
 
     def to_json(self) -> dict:
         return {"sigma1": self.sigma1, "f1": self.f1.to_json(),
@@ -116,151 +96,40 @@ class TermList:
                    int(doc["source_p"]))
 
 
-@dataclass(frozen=True)
-class CplRecord:
-    """Inverse-transform bookkeeping from fan linearization."""
-
-    v: Point
-    f_of_v: Rat
-
-
-def _canonical_rotation(fan: Fan) -> Fan:
-    """Rotate the ray list to start at the CCW-smallest direction
-    (angle from the positive x axis)."""
-    ints = fan.int_rays
-    j = min(range(len(ints)), key=cmp_to_key(
-        lambda a, b: ccw_angle_cmp(X_AXIS, ints[a], ints[b])))
-    if j == 0:
-        return fan
-    rays = fan.rays[j:] + fan.rays[:j]
-    affs = fan.sector_affines[j:] + fan.sector_affines[:j]
-    return Fan(fan.center, rays, affs)
-
-
-def fan_to_cpl(fan: Fan) -> tuple[Fan, CplRecord]:
-    """Linearize a fan: the returned fan is centered at the origin with
-    linear sector functions and value f(v - x) - f(v).
-
-    The point reflection preserves the cyclic CCW order of the rays, so
-    re-sorting amounts to a rotation of the lists.
-    """
-    v = fan.center
-    vals = {f(v) for f in fan.sector_affines}
-    if len(vals) != 1:
-        raise ContinuityError(f"fan sector affines disagree at center {v}")
-    f_of_v = vals.pop()
-    rays = tuple(-d for d in fan.rays)
-    affs = tuple(AffineFunc(g.a, g.b, g.c - f_of_v).reflect_through(v)
-                 for g in fan.sector_affines)
-    for g in affs:
-        if g.c != 0:
-            raise ContinuityError("linearized sector function has an offset")
-    lin = _canonical_rotation(Fan(_ORIGIN, rays, affs))
-    return lin, CplRecord(v, f_of_v)
-
-
-def _ray_point(fan: Fan, i: int) -> Point:
-    return translate(fan.center, fan.rays[i])
-
-
-def merge_step(fan: Fan) -> tuple[Fan, Fan]:
-    """Extract a three-sector fan from the first adjacent sector pair
-    with combined angle below pi.
-
-    Returns (extracted, remainder) with fan == extracted + remainder
-    pointwise; the remainder has one sector less.  Fans where no such
-    pair exists (the four-quadrant cross case) raise
-    NoMergeablePairError.
-    """
-    k = len(fan.rays)
-    if k < 4:
-        raise MalformedFanError(f"merge_step needs at least 4 sectors, got {k}")
-    if fan.center != _ORIGIN or any(g.c != 0 for g in fan.sector_affines):
-        raise MalformedFanError("merge_step expects a linearized fan")
-    j = None
-    for i in range(k):
-        if cross(fan.rays[i], fan.rays[(i + 2) % k]) > 0:
-            j = i
-            break
-    if j is None:
-        raise NoMergeablePairError(
-            "no adjacent sector pair encloses less than pi")
-    r0, r1, r2 = (fan.rays[(j + t) % k] for t in range(3))
-    f1 = fan.sector_affines[j]
-    f2 = fan.sector_affines[(j + 1) % k]
-    p1 = _ray_point(fan, j)
-    p2 = _ray_point(fan, (j + 2) % k)
-    det = cross(r0, r2)
-    c1 = f1(p1)
-    c2 = f2(p2)
-    a = (c1 * r2.dy - c2 * r0.dy) / det
-    b = (r0.dx * c2 - r2.dx * c1) / det
-    f_p = AffineFunc(a, b, Fraction(0))
-    extracted = Fan(fan.center, (r0, r1, r2), (f1, f2, f_p))
-    validate_fan(extracted)
-    rays = []
-    affs = []
-    for i in range(k):
-        if i == (j + 1) % k:
-            continue
-        rays.append(fan.rays[i])
-        if i == j:
-            affs.append(AffineFunc(Fraction(0), Fraction(0), Fraction(0)))
-        else:
-            affs.append(fan.sector_affines[i] - f_p)
-    remainder = _canonical_rotation(Fan(fan.center, tuple(rays), tuple(affs)))
-    validate_fan(remainder)
-    return extracted, remainder
-
-
-def split_cross_case(fan: Fan) -> tuple[Fan, Fan]:
-    """Split a four-sector fan whose rays form two full lines into two
-    two-sector fans summing to it pointwise."""
-    if len(fan.rays) != 4:
-        raise NotCrossCaseError(f"expected 4 sectors, got {len(fan.rays)}")
-    r = fan.rays
-    for i in (0, 1):
-        if not (cross(r[i], r[i + 2]) == 0 and dot(r[i], r[i + 2]) < 0):
-            raise NotCrossCaseError(
-                "ray directions do not form two crossing lines")
-    f1, f2, f3, f4 = fan.sector_affines
-    # first part: f1 across the line spanned by r1, f2 on the other side
-    part1 = Fan(fan.center, (r[1], r[3]), (f2, f1))
-    validate_fan(part1)
-    # second part: zero on one side of the line spanned by r0
-    g = f3 - f2
-    if g != f4 - f1:
-        raise MalformedFanError("cross-case residuals disagree")
-    zero = AffineFunc(Fraction(0), Fraction(0), Fraction(0))
-    part2 = Fan(fan.center, (r[0], r[2]), (zero, g))
-    validate_fan(part2)
-    return part1, part2
-
-
-def two_sector_to_max(fan: Fan) -> MaxTerm:
-    """A two-sector fan is the max or min of its two affines.  The probe
-    a quarter turn CCW of rays[0] lies in sector 0 when the rays are
-    opposite, as in every fan reduce passes; a continuous fan with other
-    rays has equal affines, so any probe gives the same term."""
-    if len(fan.rays) != 2:
-        raise MalformedFanError(f"expected 2 sectors, got {len(fan.rays)}")
-    g0, g1 = fan.sector_affines
-    probe = translate(fan.center, perp(fan.rays[0]))
+def _two_sector_term(r0: Direction, g0: AffineFunc,
+                     g1: AffineFunc) -> MaxTerm:
+    """A two-sector linear fan, g0 on the sector CCW of r0 up to the
+    opposite ray and g1 on the other, is the max or min of its affines:
+    the probe a quarter turn CCW of r0 lies in g0's sector."""
+    probe = Point(-r0.dy, r0.dx)
     if g0(probe) >= g1(probe):
         return MaxTerm(1, g0, 1, g1, g1)
     return MaxTerm(-1, -g0, 1, -g1, -g1)
 
 
-def _three_piece_linear(fan: Fan) -> MaxTerm:
-    rays = fan.rays
+def _three_piece_linear(rays: Sequence[Direction],
+                        affs: Sequence[AffineFunc]) -> MaxTerm:
+    """Write a three-sector linear fan at the origin as
+    sigma1 * max(f1, sigma2 * max(f2, f3)), after checking that adjacent
+    sectors agree on their shared ray.
+
+    With all sector angles below pi the inner pair joins by max, with
+    one reflex sector by min; the outer sign is decided by one exact
+    comparison on the ray between the two non-distinguished sectors.
+    """
+    pts = [Point(d.dx, d.dy) for d in rays]
+    for i in range(3):
+        if affs[i - 1](pts[i]) != affs[i](pts[i]):
+            raise ContinuityError(
+                f"fan sectors {i - 1} and {i} disagree on ray {rays[i]}")
     reflex = [i for i in range(3) if cross(rays[i], rays[(i + 1) % 3]) <= 0]
     if len(reflex) > 1:
         raise MalformedFanError(f"{len(reflex)} sector angles of at least pi")
     m = reflex[0] if reflex else 0
-    f0 = fan.sector_affines[m]
-    f1 = fan.sector_affines[(m + 1) % 3]
-    f2 = fan.sector_affines[(m + 2) % 3]
-    p0 = _ray_point(fan, (m + 2) % 3)
+    f0 = affs[m]
+    f1 = affs[(m + 1) % 3]
+    f2 = affs[(m + 2) % 3]
+    p0 = pts[(m + 2) % 3]
     fan_at_p0 = f1(p0)  # == f2(p0) by continuity on the shared ray
     if not reflex:
         if fan_at_p0 >= f0(p0):
@@ -271,31 +140,65 @@ def _three_piece_linear(fan: Fan) -> MaxTerm:
     return MaxTerm(-1, -f0, -1, f1, f2)
 
 
-def three_piece_to_max(tp: Fan) -> MaxTerm:
-    """Write a three-sector fan as sigma1 * max(f1, sigma2 * max(f2, f3)).
+def fan_to_terms(fan: Fan) -> list[MaxTerm]:
+    """The terms, max(1, k - 2) of them for k sectors, whose sum is the
+    fan.
 
-    The sign case split follows the angular structure: with all sector
-    angles below pi the inner pair joins by max, with one reflex sector
-    by min; the outer sign is decided by one exact comparison on the ray
-    between the two non-distinguished sectors.
+    The fan is validated, then linearized once by the point reflection
+    x -> v - x: rays and affine slopes are negated, f(v) is dropped, and
+    the lists are rotated to start at the ray CCW-closest to +x.  The
+    sweep then peels the first sector pair (from index 0, cyclically)
+    whose outer rays r0, r2 enclose less than pi: the linear f_p that
+    agrees with the pair on r0 and r2 closes a three-sector term, and the
+    remainder is the fan minus that term, so the pair's sector becomes 0,
+    f_p is subtracted from every other sector and r1 is deleted.  The
+    remainder stays CCW-sorted from +x.  When no pair qualifies at four
+    or more sectors, the angle sum forces two crossing lines; that fan is
+    the sum of two two-sector fans, one across each line.  Every term is
+    reflected back through v and the first carries f(v).
     """
-    if len(tp.rays) != 3:
-        raise MalformedFanError(f"expected 3 sectors, got {len(tp.rays)}")
-    validate_fan(tp)
-    v = tp.center
-    c_vals = {f(v) for f in tp.sector_affines}
-    if len(c_vals) != 1:
-        raise MalformedFanError("sector affines disagree at the center")
-    c = c_vals.pop()
-    if v == _ORIGIN and c == 0:
-        return _three_piece_linear(tp)
-    # translate to the origin, drop the common center value, and undo after
-    lin_affs = tuple(
-        AffineFunc(g.a, g.b, g.c + g.a * v.x + g.b * v.y - c)
-        for g in tp.sector_affines)
-    lin = Fan(_ORIGIN, tp.rays, lin_affs)
-    term = _three_piece_linear(lin)
-    return term.translate_by(v).shift(AffineFunc(Fraction(0), Fraction(0), c))
+    validate_fan(fan)
+    v = fan.center
+    ints = [(-x, -y) for x, y in fan.int_rays]
+    s = min(range(len(ints)), key=cmp_to_key(
+        lambda a, b: ccw_angle_cmp(X_AXIS, ints[a], ints[b])))
+    rays = [-d for d in fan.rays[s:] + fan.rays[:s]]
+    affs = [AffineFunc(-g.a, -g.b, _ZERO)
+            for g in fan.sector_affines[s:] + fan.sector_affines[:s]]
+    terms: list[MaxTerm] = []
+    while len(rays) > 3:
+        k = len(rays)
+        j = next((i for i in range(k)
+                  if cross(rays[i], rays[(i + 2) % k]) > 0), None)
+        if j is None:
+            # two crossing lines: f1 across the line of r1, then the
+            # residual f3 - f2, which vanishes on the line of r0
+            terms.append(_two_sector_term(rays[1], affs[1], affs[0]))
+            terms.append(_two_sector_term(
+                rays[0], _ZERO_AFFINE, affs[2] - affs[1]))
+            break
+        m, n = (j + 1) % k, (j + 2) % k
+        r0, r2 = rays[j], rays[n]
+        c1 = affs[j](Point(r0.dx, r0.dy))
+        c2 = affs[m](Point(r2.dx, r2.dy))
+        det = cross(r0, r2)
+        f_p = AffineFunc((c1 * r2.dy - c2 * r0.dy) / det,
+                         (r0.dx * c2 - r2.dx * c1) / det, _ZERO)
+        terms.append(_three_piece_linear((r0, rays[m], r2),
+                                         (affs[j], affs[m], f_p)))
+        affs = [_ZERO_AFFINE if i == j else g - f_p
+                for i, g in enumerate(affs)]
+        del rays[m], affs[m]
+    else:
+        if len(rays) == 3:
+            terms.append(_three_piece_linear(rays, affs))
+        else:
+            terms.append(_two_sector_term(rays[0], affs[0], affs[1]))
+    terms = [t.reflect_through(v) for t in terms]
+    f_of_v = fan.sector_affines[0](v)
+    if f_of_v != 0:
+        terms[0] = terms[0].shift(AffineFunc(_ZERO, _ZERO, f_of_v))
+    return terms
 
 
 def edge_to_max(ep: EdgePair) -> MaxTerm:
@@ -325,29 +228,7 @@ def reduce(dec: Decomposition, source_p: int = 0) -> TermList:
     """
     terms: list[MaxTerm] = []
     for fan in dec.fans:
-        lin, rec = fan_to_cpl(fan)
-        fan_terms: list[MaxTerm] = []
-        work = lin
-        while len(work.rays) > 3:
-            try:
-                extracted, work = merge_step(work)
-            except NoMergeablePairError:
-                part1, part2 = split_cross_case(work)
-                fan_terms.append(two_sector_to_max(part1))
-                fan_terms.append(two_sector_to_max(part2))
-                work = None
-                break
-            fan_terms.append(three_piece_to_max(extracted))
-        if work is not None:
-            if len(work.rays) == 3:
-                fan_terms.append(three_piece_to_max(work))
-            else:
-                fan_terms.append(two_sector_to_max(work))
-        fan_terms = [t.reflect_through(rec.v) for t in fan_terms]
-        if rec.f_of_v != 0:
-            fan_terms[0] = fan_terms[0].shift(
-                AffineFunc(Fraction(0), Fraction(0), rec.f_of_v))
-        terms.extend(fan_terms)
+        terms.extend(fan_to_terms(fan))
     for pair in dec.edge_pairs:
         terms.append(edge_to_max(pair))
     if not terms:

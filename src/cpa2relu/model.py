@@ -295,9 +295,13 @@ def parse_instance(doc) -> CPAInstance:
             raise SchemaError(f"piece {pid} missing 'affine' or 'witness'")
         affine = AffineFunc.from_json(p["affine"])
         witness = _parse_point(p["witness"], f"piece {pid} witness")
+        boundary = p.get("boundary", [])
+        if not isinstance(boundary, list):
+            raise SchemaError(f"piece {pid} boundary must be a list")
         comps = []
-        for comp in p.get("boundary", []):
-            if not isinstance(comp, dict) or "kind" not in comp or "edges" not in comp:
+        for comp in boundary:
+            if (not isinstance(comp, dict) or "kind" not in comp
+                    or not isinstance(comp.get("edges"), list)):
                 raise SchemaError(f"piece {pid} has a malformed boundary component")
             kind = comp["kind"]
             if kind not in (ARC, CYCLE):

@@ -99,6 +99,21 @@ def test_verify_flags_tampered_net(tmp_path, corpus_dir, capsys):
     assert "0 failures" not in out
 
 
+@pytest.mark.parametrize("sub", ["eval", "stats", "verify"])
+def test_truncated_net_file_is_data_error(tmp_path, corpus_dir, capsys, sub):
+    net = tmp_path / "hat.net.json"
+    cli.run(["compile", str(corpus_dir / "hat.json"), "-o", str(net)])
+    net.write_text(net.read_text()[:100])
+    capsys.readouterr()
+    argv = {"eval": ["eval", str(net), "--point", "0", "0"],
+            "stats": ["stats", str(net), "--pieces", "4"],
+            "verify": ["verify", str(corpus_dir / "hat.json"),
+                       "--net", str(net), "--samples", "5"]}[sub]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
 def test_stats(tmp_path, corpus_dir, capsys):
     net = tmp_path / "strip.net.json"
     cli.run(["compile", str(corpus_dir / "strip.json"), "-o", str(net)])

@@ -3,8 +3,10 @@
 The SHA-256 digests below pin, per instance: the exported network, the
 decomposition dump, the serialized sparsified instance, the verifier's
 report at 200 samples and the lemma suite's report at 100 samples on
-the parsed and on the sparsified instance.  A change that alters any of
-these bytes must say so and update the digest.
+the parsed and on the sparsified instance.  The exported network of
+seeded random_instance(3, n) draws is pinned too: their fans reach
+degree 25, against 6 in the corpus.  A change that alters any of these
+bytes must say so and update the digest.
 """
 import hashlib
 import json
@@ -101,6 +103,14 @@ DIGESTS = {
 }
 
 
+RANDOM_EXPORT_DIGESTS = {
+    10: "66177c04463f1743aa063927d8697b933c7e4d01f577b7fab13d358abf2bef9a",
+    20: "c050ac5d59dd4c5fe88b24ae06503177ea39e8b6c62976a7bf0a47716fb35485",
+    40: "dc5a8e674b73a9e23f0c515f4fbf7292b38767141b23b4380cec63ec4b261798",
+    80: "49dcabc64b6bd4ddbb066aa719cb3fb1d02b54946f125fcc89ce77e90f5de4b3",
+}
+
+
 def _sha(data) -> str:
     if not isinstance(data, bytes):
         data = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
@@ -130,3 +140,12 @@ def test_outputs_are_byte_identical(name, corpus_docs):
 
 def test_digests_cover_the_corpus():
     assert sorted(DIGESTS) == sorted(corpus.all_documents())
+
+
+@pytest.mark.parametrize("n_points", sorted(RANDOM_EXPORT_DIGESTS))
+def test_random_draw_exports_are_byte_identical(n_points):
+    doc = corpus.random_instance(3, n_points)
+    slim = model.sparsify(model.parse_instance(doc))
+    terms = maxform.reduce(decompose(slim), slim.p)
+    got = _sha(network.export_network(network.build_network(terms)))
+    assert got == RANDOM_EXPORT_DIGESTS[n_points]

@@ -7,15 +7,14 @@ conventions.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cpa2relu import model
-from cpa2relu.decompose import EdgePair, Fan, eval_fan
-from cpa2relu.errors import NotCrossCaseError
-from cpa2relu.geometry import cross, dr, pt, same_direction
+from cpa2relu.decompose import Decomposition, EdgePair, Fan, eval_fan
+from cpa2relu.errors import ContinuityError
+from cpa2relu.geometry import ccw_sort_directions, cross, dr, pt, same_direction
 from cpa2relu.maxform import (
-    MaxTerm, TermList, edge_to_max, fan_to_cpl, merge_step,
-    split_cross_case, three_piece_to_max, two_sector_to_max,
+    MaxTerm, TermList, edge_to_max, fan_to_terms, reduce,
 )
 from cpa2relu.model import AffineFunc
 from cpa2relu.verify import sample_general_position
@@ -39,20 +38,24 @@ PROBES = [pt(0, 0), pt(1, 0), pt(0, 1), pt(-1, -1), pt(3, -2),
           pt(Fraction(-5, 2), Fraction(1, 3)), pt(7, 11), pt(-9, 4)]
 
 
+def fan_sum(fan: Fan, x) -> Fraction:
+    return sum(t(x) for t in fan_to_terms(fan))
+
+
 # ---------------------------------------------------------------------------
 # frozen three-sector conversions
 
 def test_min_of_zero_x_y():
     fan = Fan(pt(0, 0), (dr(1, 0), dr(0, 1), dr(-1, -1)), (ZERO, X, Y))
-    term = three_piece_to_max(fan)
-    assert term == MaxTerm(-1, ZERO, 1, -X, -Y)
+    (term,) = fan_to_terms(fan)
+    assert term == MaxTerm(-1, -Y, 1, ZERO, -X)
     for q in PROBES:
         assert term(q) == min(0, q.x, q.y)
 
 
 def test_max_of_zero_min_x_y():
     fan = Fan(pt(0, 0), (dr(1, 0), dr(1, 1), dr(0, 1)), (Y, X, ZERO))
-    term = three_piece_to_max(fan)
+    (term,) = fan_to_terms(fan)
     assert term == MaxTerm(1, ZERO, -1, -Y, -X)
     for q in PROBES:
         assert term(q) == max(0, min(q.x, q.y))
@@ -67,12 +70,12 @@ def test_three_piece_reflex_center_shift(q):
     shifted = Fan(v, rays, tuple(
         AffineFunc(g.a, g.b, g.c - g.a * v.x - g.b * v.y + 5)
         for g in (Y, X, ZERO)))
-    term = three_piece_to_max(shifted)
+    (term,) = fan_to_terms(shifted)
     assert term(q) == eval_fan(base, pt(q.x - v.x, q.y - v.y)) + 5
 
 
 # ---------------------------------------------------------------------------
-# merge step
+# merge steps
 
 FIVE = Fan(pt(0, 0),
            (dr(1, 0), dr(1, 1), dr(-1, 1), dr(-1, -1), dr(1, -1)),
@@ -80,23 +83,32 @@ FIVE = Fan(pt(0, 0),
 
 
 def test_merge_step_five_sector():
-    extracted, rest = merge_step(FIVE)
-    assert extracted.rays == (dr(1, 0), dr(1, 1), dr(-1, 1))
-    assert extracted.sector_affines == (X, Y, aff(1, 2, 0))
-    assert rest.rays == (dr(1, 0), dr(-1, 1), dr(-1, -1), dr(1, -1))
-    assert rest.sector_affines == (ZERO, aff(-2, -2, 0), aff(-1, -3, 0),
-                                   aff(0, -2, 0))
+    """Two merge steps on the linearization, whose rays start at (1, 1),
+    then the last three sectors."""
+    assert fan_to_terms(FIVE) == [
+        MaxTerm(-1, aff(-1, 2, 0), -1, -Y, X),
+        MaxTerm(-1, aff(0, -4, 0), -1, aff(0, 2, 0), aff(-1, 3, 0)),
+        MaxTerm(1, aff(0, -4, 0), 1, ZERO, aff(-2, -2, 0)),
+    ]
     for q in PROBES:
-        assert eval_fan(FIVE, q) == eval_fan(extracted, q) + eval_fan(rest, q)
+        assert fan_sum(FIVE, q) == eval_fan(FIVE, q)
 
 
 def test_merge_step_four_sector():
     fan = Fan(pt(0, 0), (dr(1, 0), dr(1, 1), dr(0, 1), dr(0, -1)),
               (aff(1, 2, 0), aff(3, 0, 0), ZERO, X))
-    extracted, rest = merge_step(fan)
-    assert extracted.sector_affines[2] == X  # the interpolated plane
+    assert fan_to_terms(fan) == [
+        MaxTerm(-1, aff(-3, 0, 0), -1, X, aff(1, 2, 0)),
+        MaxTerm(1, aff(-3, 0, 0), -1, ZERO, ZERO),
+    ]
     for q in PROBES:
-        assert eval_fan(fan, q) == eval_fan(extracted, q) + eval_fan(rest, q)
+        assert fan_sum(fan, q) == eval_fan(fan, q)
+
+
+def test_broken_sector_raises_from_reduce():
+    broken = Fan(FIVE.center, FIVE.rays, (X, Y, -X + Y, -Y, X))
+    with pytest.raises(ContinuityError):
+        reduce(Decomposition((broken,), (), ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +119,20 @@ CROSS_FAN = Fan(pt(0, 0), (dr(1, 0), dr(0, 1), dr(-1, 0), dr(0, -1)),
 
 
 def test_split_cross_case():
-    part1, part2 = split_cross_case(CROSS_FAN)
-    assert part1.rays == (dr(0, 1), dr(0, -1))
-    assert part1.sector_affines == (aff(-1, 1, 0), aff(1, 1, 0))
-    assert part2.rays == (dr(1, 0), dr(-1, 0))
-    assert part2.sector_affines == (ZERO, aff(0, -2, 0))
+    """No sector pair encloses less than pi: one two-sector term across
+    each line."""
+    assert fan_to_terms(CROSS_FAN) == [
+        MaxTerm(1, aff(1, -1, 0), 1, aff(-1, -1, 0), aff(-1, -1, 0)),
+        MaxTerm(1, ZERO, 1, aff(0, 2, 0), aff(0, 2, 0)),
+    ]
     for q in PROBES:
-        assert (eval_fan(part1, q) + eval_fan(part2, q)
-                == abs(q.x) + abs(q.y))
-
-
-def test_split_cross_case_rejects_proper_fans():
-    with pytest.raises(NotCrossCaseError):
-        split_cross_case(FIVE)
-    with pytest.raises(NotCrossCaseError):
-        split_cross_case(Fan(pt(0, 0),
-                             (dr(1, 0), dr(1, 1), dr(0, 1), dr(0, -1)),
-                             (aff(1, 2, 0), aff(3, 0, 0), ZERO, X)))
+        assert fan_sum(CROSS_FAN, q) == abs(q.x) + abs(q.y)
 
 
 def test_two_sector_handles_unequal_antipodal_rays():
     # the probe direction must stay off the shared boundary line
     fan = Fan(pt(0, 0), (dr(0, 2), dr(0, -3)), (-X, X))
-    term = two_sector_to_max(fan)
+    (term,) = fan_to_terms(fan)
     for q in PROBES:
         assert term(q) == abs(q.x)
 
@@ -158,30 +161,78 @@ int_dirs = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
     lambda t: t != (0, 0)).map(lambda t: dr(*t))
 
 
+def _distinct(ds):
+    out = []
+    for d in ds:
+        if not any(same_direction(d, e) for e in out):
+            out.append(d)
+    return out
+
+
+def vanishing_on(d, center) -> AffineFunc:
+    """The linear function cross(d, x - center)."""
+    return AffineFunc(-d.dy, d.dx, d.dy * center.x - d.dx * center.y)
+
+
 @given(st.tuples(int_dirs, int_dirs, int_dirs), points, affines,
        rats.filter(lambda r: r != 0), points)
 def test_random_three_fan_round_trip(dirs3, center, g1, lam1, q):
-    from cpa2relu.geometry import ccw_sort_directions
-    ds = []
-    for d in dirs3:
-        if not any(same_direction(d, e) for e in ds):
-            ds.append(d)
+    ds = _distinct(dirs3)
     if len(ds) != 3:
         return
     order = ccw_sort_directions(pt(0, 0), ds)
     r1, r2, r3 = (ds[i] for i in order)
     if cross(r3, r1) == 0:
         return  # wrap seam parallel to the first ray, not constructible
-    def vanishing_on(d):
-        return AffineFunc(-d.dy, d.dx, d.dy * center.x - d.dx * center.y)
-
-    g2 = g1 + vanishing_on(r2).scale(lam1)
+    g2 = g1 + vanishing_on(r2, center).scale(lam1)
     lam2 = -lam1 * cross(r2, r1) / cross(r3, r1)
-    g3 = g2 + vanishing_on(r3).scale(lam2)
+    g3 = g2 + vanishing_on(r3, center).scale(lam2)
     fan = Fan(center, (r1, r2, r3), (g1, g2, g3))
-    term = three_piece_to_max(fan)
+    (term,) = fan_to_terms(fan)
     assert term(q) == eval_fan(fan, q)
     assert term(center) == g1(center)
+
+
+cross_lines = st.tuples(int_dirs, int_dirs, st.integers(1, 3)).filter(
+    lambda t: cross(t[0], t[1]) != 0).map(
+    lambda t: [t[0], t[1], dr(-t[2] * t[0].dx, -t[2] * t[0].dy), -t[1]])
+fan_rays = st.one_of(st.lists(int_dirs, min_size=2, max_size=10).map(_distinct),
+                     cross_lines).filter(lambda ds: len(ds) >= 2)
+
+
+@st.composite
+def continuous_fans(draw):
+    """A continuous fan at a random centre: sector i adds lam_i times
+    the function vanishing on ray i, and the last ray off the line of
+    rays[0] takes the multiple that closes the fan up on rays[0]."""
+    ds = draw(fan_rays)
+    rays = [ds[i] for i in ccw_sort_directions(pt(0, 0), ds)]
+    s = draw(st.integers(0, len(rays) - 1))
+    rays = rays[s:] + rays[:s]
+    center = draw(points)
+    lams = draw(st.lists(rats, min_size=len(rays), max_size=len(rays)))
+    lams[0] = Fraction(0)
+    free = [i for i in range(1, len(rays)) if cross(rays[i], rays[0]) != 0]
+    if free:
+        i = free[-1]
+        lams[i] = 0
+        lams[i] = -sum(lam * cross(r, rays[0])
+                       for lam, r in zip(lams, rays)) / cross(rays[i], rays[0])
+    affs = [draw(affines)]
+    for lam, r in zip(lams[1:], rays[1:]):
+        affs.append(affs[-1] + vanishing_on(r, center).scale(lam))
+    return Fan(center, tuple(rays), tuple(affs))
+
+
+@example(CROSS_FAN, pt(3, -2))
+@given(continuous_fans(), points)
+def test_fan_terms_sum_to_the_fan(fan, q):
+    ts = fan_to_terms(fan)
+    assert len(ts) == max(1, len(fan.rays) - 2)
+    probes = PROBES + [q, fan.center] + [
+        pt(fan.center.x + d.dx, fan.center.y + d.dy) for d in fan.rays]
+    for x in probes:
+        assert sum(t(x) for t in ts) == eval_fan(fan, x)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +252,6 @@ def test_shift_law(t, h, q):
 @given(terms, points, points)
 def test_reflect_law(t, v, q):
     assert t.reflect_through(v)(q) == t(pt(v.x - q.x, v.y - q.y))
-
-
-@given(terms, points, points)
-def test_translate_law(t, v, q):
-    assert t.translate_by(v)(q) == t(pt(q.x - v.x, q.y - v.y))
 
 
 def test_bad_signs_rejected():
@@ -265,14 +311,3 @@ def test_term_list_matches_max_terms(ts, x):
     """Rational coefficients survive the integer encoding."""
     assert TermList(tuple(ts), 1)(x) == sum(t(x) for t in ts)
 
-
-def test_fan_to_cpl_inverse(compiled):
-    _, slim, dec, _, _ = compiled["hat"]
-    for fan in dec.fans:
-        lin, rec = fan_to_cpl(fan)
-        assert lin.center == pt(0, 0)
-        assert all(g.c == 0 for g in lin.sector_affines)
-        for q in PROBES:
-            want = eval_fan(fan, pt(rec.v.x - q.x, rec.v.y - q.y))
-            assert lin.sector_affines and (
-                eval_fan(lin, q) == want - rec.f_of_v)

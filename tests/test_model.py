@@ -106,6 +106,20 @@ def test_parse_rejects_zero_direction(corpus_docs):
         model.parse_instance(doc)
 
 
+@pytest.mark.parametrize("boundary", [
+    7, None, True,
+    [{"kind": "arc", "edges": 7}],
+    [{"kind": "arc", "edges": None}],
+    [{"kind": "arc", "edges": False}],
+])
+def test_parse_rejects_non_list_boundaries(boundary):
+    doc = {"vertices": {}, "edges": {},
+           "pieces": {"P": {"affine": [1, 2, 3], "boundary": boundary,
+                            "witness": [0, 0]}}}
+    with pytest.raises(SchemaError):
+        model.parse_instance(doc)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
