@@ -1,7 +1,7 @@
 """Command-line driver: validate, lower, evaluate, certify and draw.
 
 Exit codes: 0 success, 1 validation or verification failure, 2 usage
-error (bad flags, missing files).
+error (bad flags, or a file that cannot be read or written).
 """
 from __future__ import annotations
 
@@ -271,6 +271,9 @@ def run(argv) -> int:
     except CpaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -23,9 +23,9 @@ from .geometry import (
     Point,
     Rat,
     Ray,
+    homogeneous,
     int_direction,
     int_offset,
-    int_point,
     rat_to_json,
     sector_index,
     translate,
@@ -99,7 +99,7 @@ class EdgePair:
 
 def eval_edge_pair(pair: EdgePair, x: Point) -> Rat:
     """The plus side's value on {boundary >= 0}, the line included."""
-    if kernels.line_sign(*pair.int_boundary, *int_point(x)) >= 0:
+    if kernels.line_sign(*pair.int_boundary, *homogeneous(x)) >= 0:
         return pair.plus_side_affine(x)
     return pair.minus_side_affine(x)
 
@@ -116,7 +116,10 @@ def build_vertex_function(inst: CPAInstance, vertex_id: str) -> Fan:
     vertex: one ray per incident edge, and sector i carries the piece
     counterclockwise of ray i (model.vertex_star).  That piece must be
     the one clockwise of ray i + 1; a chain of sectors that does not
-    close up this way raises InvalidInputError."""
+    close up this way raises InvalidInputError.  Continuity across the
+    rays is not checked here: validate's continuity check implies it
+    for a validated instance, and maxform.fan_to_terms checks every fan
+    it reduces (validate_fan)."""
     star = vertex_star(inst, vertex_id)
     affines = []
     for i, (_, ccw, _) in enumerate(star):
@@ -126,10 +129,8 @@ def build_vertex_function(inst: CPAInstance, vertex_id: str) -> Fan:
                 f"sector {i} at vertex {vertex_id} starts in piece {ccw} "
                 f"but ends in piece {cw_next}")
         affines.append(inst.pieces[ccw].affine)
-    fan = Fan(inst.vertices[vertex_id], tuple(d for d, _, _ in star),
-              tuple(affines))
-    validate_fan(fan)
-    return fan
+    return Fan(inst.vertices[vertex_id], tuple(d for d, _, _ in star),
+               tuple(affines))
 
 
 def build_edge_function(inst: CPAInstance, edge_id: str) -> EdgePair:
@@ -142,7 +143,7 @@ def build_edge_function(inst: CPAInstance, edge_id: str) -> EdgePair:
             f"edge {edge_id} is a ray; rays have no edge function")
     left, right = edge_sides(inst, edge_id)
     return EdgePair(
-        boundary=AffineFunc(*(Fraction(c) for c in inst.int_line(edge_id))),
+        boundary=AffineFunc(*(Fraction(c) for c in e.line)),
         plus_side_affine=inst.pieces[left].affine,
         minus_side_affine=inst.pieces[right].affine,
         sign=1 if isinstance(e.geom, Line) else -1,

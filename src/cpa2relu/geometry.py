@@ -1,14 +1,18 @@
 """Exact plane geometry over rationals.
 
-Coordinates are fractions.Fraction; no floats, no epsilons.  The one
-angular predicate, ccw_angle_cmp, orders integer direction pairs by
-their CCW angle from a reference direction: from +x it sorts the edges
-at a vertex (ccw_sort_directions), from a fan's first ray it finds the
-sector holding a direction (sector_index).  Sides are decided by
-kernels.line_sign on an edge's int_line: model.edges_at, and
-model._parity with degenerate positions resolved by symbolic
-perturbation.  orientation stays as the Fraction reference the tests
-check those integer predicates against.
+Coordinates are fractions.Fraction; no floats, no epsilons.  The exact
+predicates run on one integer form: a point as homogeneous (X, Y, W),
+p = (X/W, Y/W) with W > 0, and an edge's hull as its gcd-reduced line
+(A, B, C) (int_line); the sign of A*X + B*Y + C*W is the side of the
+line the point lies on (kernels.line_sign).  model.EdgeRec builds both
+forms once per edge, and they decide model.edges_at, model._parity
+(degenerate positions resolved by symbolic perturbation) and
+validate's edge-pair check.  The one angular predicate, ccw_angle_cmp,
+orders integer direction pairs by their CCW angle from a reference
+direction: from +x it sorts the edges at a vertex
+(ccw_sort_directions), from a fan's first ray it finds the sector
+holding a direction (sector_index).  orientation stays as the Fraction
+reference the tests check those integer predicates against.
 """
 from __future__ import annotations
 
@@ -96,11 +100,6 @@ def cross(u: Direction, v: Direction) -> Rat:
 
 def dot(u: Direction, v: Direction) -> Rat:
     return u.dx * v.dx + u.dy * v.dy
-
-
-def perp(d: Direction) -> Direction:
-    """d rotated a quarter turn counterclockwise."""
-    return Direction(-d.dy, d.dx)
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -237,11 +236,13 @@ def sector_index(rays: tuple[tuple[int, int], ...],
 
 
 # ---------------------------------------------------------------------------
-# Integer forms for the evaluation kernels
+# Integer forms: points in homogeneous coordinates, edge hulls as lines
 
-def int_point(p: Point) -> tuple[int, int, int, int]:
-    """(xn, xd, yn, yd) with positive denominators."""
-    return (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+def homogeneous(p: Point) -> tuple[int, int, int]:
+    """(X, Y, W) with p = (X/W, Y/W) and W > 0."""
+    xn, xd, yn, yd = (p.x.numerator, p.x.denominator,
+                      p.y.numerator, p.y.denominator)
+    return (xn * yd, yn * xd, xd * yd)
 
 
 def int_direction(d: Direction) -> tuple[int, int]:

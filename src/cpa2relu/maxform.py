@@ -18,7 +18,8 @@ from functools import cached_property, cmp_to_key
 from . import kernels
 from .errors import ContinuityError, MalformedFanError
 from .decompose import Decomposition, EdgePair, Fan, validate_fan
-from .geometry import X_AXIS, Direction, Point, Rat, ccw_angle_cmp, cross
+from .geometry import (X_AXIS, Direction, Point, Rat, ccw_angle_cmp, cross,
+                       homogeneous)
 from .model import AffineFunc
 
 _ZERO = Fraction(0)
@@ -81,9 +82,7 @@ class TermList:
                 for t in self.terms]
 
     def __call__(self, x: Point) -> Rat:
-        n, d = kernels.eval_terms(self.kernel_terms, x.x.numerator,
-                                  x.x.denominator, x.y.numerator,
-                                  x.y.denominator)
+        n, d = kernels.eval_terms(self.kernel_terms, *homogeneous(x))
         return Fraction(n, d)
 
     def to_json(self) -> dict:

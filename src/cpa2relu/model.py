@@ -6,6 +6,12 @@ An instance is a subdivision of the plane into closed polygonal pieces
 piece.  Membership of a point in a piece is decided by the crossing
 parity of the segment to the piece's interior witness point, with every
 degenerate position resolved by symbolic perturbation (_parity).
+
+Each EdgeRec builds its integer form once: the int_line (A, B, C) of its
+hull and its two ends in homogeneous (X, Y, W), W = 0 for an end at
+infinity.  One predicate, _straddles, asks whether those ends lie on
+opposite sides of a line; it decides the crossings in _parity and the
+edge-pair check in validate.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernels
 from .errors import (
@@ -38,9 +45,9 @@ from .geometry import (
     dot,
     edge_base,
     edge_direction,
+    homogeneous,
     hull_points,
     int_line,
-    int_point,
     rat_from_json,
     rat_to_json,
     same_direction,
@@ -125,10 +132,29 @@ class Piece:
 
 @dataclass(frozen=True)
 class EdgeRec:
+    """An edge and, built once on first use, its integer form: the
+    int_line of its hull and its two ends in homogeneous (X, Y, W)."""
+
     id: str
     geom: EdgeGeom
     pieces: tuple[str, str]
     vertex_ids: tuple[str, ...]  # 2 for segments, 1 for rays, 0 for lines
+
+    @cached_property
+    def line(self) -> tuple[int, int, int]:
+        return int_line(self.geom)
+
+    @cached_property
+    def ends(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """A finite end has W > 0; an end at infinity has W = 0 and lies
+        along (B, -A), the edge's direction, or against it."""
+        g = self.geom
+        if isinstance(g, Segment):
+            return homogeneous(g.a), homogeneous(g.b)
+        A, B, _ = self.line
+        if isinstance(g, Ray):
+            return homogeneous(g.v), (B, -A, 0)
+        return (-B, A, 0), (B, -A, 0)
 
 
 class CPAInstance:
@@ -150,16 +176,17 @@ class CPAInstance:
             for comp in piece.boundary:
                 seen.extend(comp.edges)
             self.piece_edges[pid] = tuple(sorted(set(seen)))
+        self.piece_recs: dict[str, tuple[EdgeRec, ...]] = {
+            pid: tuple(self.edges[eid] for eid in eids)
+            for pid, eids in self.piece_edges.items()}
         self.piece_vertices: dict[str, tuple[str, ...]] = {}
-        for pid, eids in self.piece_edges.items():
+        for pid, recs in self.piece_recs.items():
             vs: set[str] = set()
-            for eid in eids:
-                vs.update(self.edges[eid].vertex_ids)
+            for e in recs:
+                vs.update(e.vertex_ids)
             self.piece_vertices[pid] = tuple(sorted(vs))
         # caches filled lazily
-        self._int_lines: dict[str, tuple[int, int, int]] = {}
         self._edge_sides: dict[str, tuple[str, str]] = {}
-        self._piece_lines: dict[str, list] = {}
         self._stars: dict[str, tuple[tuple, list]] = {}  # for sides
         self._conic_coeffs: dict = {}  # piece id -> sides.ConicCoeff
         self._bbox: tuple[Rat, Rat, Rat, Rat] | None = None
@@ -167,25 +194,6 @@ class CPAInstance:
     @property
     def p(self) -> int:
         return len(self.pieces)
-
-    def int_line(self, eid: str) -> tuple[int, int, int]:
-        L = self._int_lines.get(eid)
-        if L is None:
-            L = int_line(self.edges[eid].geom)
-            self._int_lines[eid] = L
-        return L
-
-    def piece_lines(self, pid: str) -> list:
-        """(int_line, geom) of every boundary edge of the piece, the
-        form _parity takes."""
-        lines = self._piece_lines.get(pid)
-        if lines is None:
-            lines = self.edge_lines(self.piece_edges[pid])
-            self._piece_lines[pid] = lines
-        return lines
-
-    def edge_lines(self, edge_ids) -> list:
-        return [(self.int_line(eid), self.edges[eid].geom) for eid in edge_ids]
 
     def bbox(self) -> tuple[Rat, Rat, Rat, Rat]:
         """Axis box spanning twice the instance's coordinate extent."""
@@ -365,9 +373,18 @@ def _tiebreak(A: int, B: int, nudge) -> int:
     return sign(A * u1 + B * v1) or sign(A * u2 + B * v2)
 
 
-def _parity(lines, x: Point, w: Point, nudge=GENERIC) -> int:
-    """Crossing parity (0 or 1) of the segment x-w against edges given as
-    (int_line, geom) pairs.
+def _straddles(e: EdgeRec, A: int, B: int, C: int, tie: int) -> bool:
+    """Whether the edge's two ends lie on opposite sides of the line
+    A*x + B*y + C = 0, an end on it counting as on side tie.  An end at
+    infinity (W = 0) takes the side the line's value heads to along it."""
+    (X0, Y0, W0), (X1, Y1, W1) = e.ends
+    s0 = A * X0 + B * Y0 + C * W0
+    s1 = A * X1 + B * Y1 + C * W1
+    return ((s0 > 0) - (s0 < 0) or tie) != ((s1 > 0) - (s1 < 0) or tie)
+
+
+def _parity(edges, x: Point, w: Point, nudge=GENERIC) -> int:
+    """Crossing parity (0 or 1) of the segment x-w against EdgeRecs.
 
     Both endpoints move by eps*n1 + eps**2*n2, nudge = (n1, n2) two
     independent integer vectors, for an infinitesimal eps > 0 (simulation
@@ -376,46 +393,32 @@ def _parity(lines, x: Point, w: Point, nudge=GENERIC) -> int:
     gives an answer and no path is retried.  A sign that vanishes at
     eps = 0 is read off the first nonzero term of the motion; the moved
     segment crosses an edge when its endpoints lie on opposite sides of
-    the edge's line and, for a segment, its endpoints on opposite sides
-    of the moved segment's line, or, for a ray, its apex on the side
-    the direction points away from.  Integer arithmetic only.
+    the edge's line and the edge's ends, at infinity included, lie on
+    opposite sides of the moved segment's line (_straddles).  Integer
+    arithmetic only.
     """
     if x == w:
         return 0
-    ix, iw = int_point(x), int_point(w)
+    (X1, Y1, W1), (X2, Y2, W2) = homogeneous(x), homogeneous(w)
     through = None
     count = 0
-    for (A, B, C), geom in lines:
-        sx = kernels.line_sign(A, B, C, *ix)
-        sw = kernels.line_sign(A, B, C, *iw)
+    for e in edges:
+        A, B, C = e.line
+        sx = kernels.line_sign(A, B, C, X1, Y1, W1)
+        sw = kernels.line_sign(A, B, C, X2, Y2, W2)
         if sx == sw:
             continue
         if not (sx and sw):
             t = _tiebreak(A, B, nudge)
             if (sx or t) == (sw or t):
                 continue
-        if isinstance(geom, Line):
-            count += 1
-            continue
         if through is None:
-            # A2*x + B2*y + C2 is zero on the line through x and w and
-            # positive to its left; an edge endpoint on it sees that line
-            # move by the nudge, so its tiebreak is negated.
-            (xn, xd, yn, yd), (wxn, wxd, wyn, wyd) = ix, iw
-            dxn, dyn = wxn * xd - xn * wxd, wyn * yd - yn * wyd
-            A2, B2 = -dyn * xd * wxd, dxn * yd * wyd
-            C2 = dyn * wxd * xn - dxn * wyd * yn
-            through = (A2, B2, C2, -_tiebreak(A2, B2, nudge))
-        A2, B2, C2, t2 = through
-        if isinstance(geom, Segment):
-            sa = kernels.line_sign(A2, B2, C2, *int_point(geom.a)) or t2
-            sb = kernels.line_sign(A2, B2, C2, *int_point(geom.b)) or t2
-            count += sa != sb
-        else:
-            # the ray runs along (B, -A); it meets the line ahead of its
-            # apex when the apex lies on the side the ray points away from
-            sv = kernels.line_sign(A2, B2, C2, *int_point(geom.v)) or t2
-            count += sv != sign(A2 * B - B2 * A)
+            # the cross product of x and w: zero on the line through
+            # them and positive to its left; an edge end on it sees that
+            # line move by the nudge, so its tiebreak is negated
+            A2, B2 = Y1 * W2 - W1 * Y2, W1 * X2 - X1 * W2
+            through = (A2, B2, X1 * Y2 - Y1 * X2, -_tiebreak(A2, B2, nudge))
+        count += _straddles(e, *through)
     return count & 1
 
 
@@ -445,7 +448,7 @@ def _member_core(inst: CPAInstance, pid: str, x: Point,
     """Whether x, moved by the nudge (see _parity), lies in the piece:
     even crossing parity to the piece's witness.  x must be off the
     piece's boundary, or the nudge must carry it off."""
-    return _parity(inst.piece_lines(pid), x, inst.pieces[pid].witness,
+    return _parity(inst.piece_recs[pid], x, inst.pieces[pid].witness,
                    nudge) == 0
 
 
@@ -462,7 +465,7 @@ def _edge_interior_point(g: EdgeGeom) -> Point:
 
 def edge_sides(inst: CPAInstance, eid: str) -> tuple[str, str]:
     """(left, right): the declared pieces on the positive and on the
-    negative side of inst.int_line(eid) = (A, B, C).
+    negative side of the edge's line (A, B, C).
 
     The only membership probe beside an edge: both declared pieces are
     tested at the edge's interior point nudged to the left of the edge,
@@ -479,7 +482,7 @@ def edge_sides(inst: CPAInstance, eid: str) -> tuple[str, str]:
         if eid not in inst.piece_edges[pid]:
             raise InvalidInputError(
                 f"edge {eid} is missing from the boundary of piece {pid}")
-    A, B, _ = inst.int_line(eid)
+    A, B, _ = e.line
     m = _edge_interior_point(e.geom)
     nudge = ((A, B), (-B, A))
     in_q = _member_core(inst, q, m, nudge)
@@ -531,16 +534,17 @@ def _span(g: EdgeGeom, A: int, B: int) -> tuple[Rat | None, Rat | None]:
 def edges_at(inst: CPAInstance, x: Point, edge_ids) -> list[str]:
     """The edges among edge_ids that contain x, ends included.
 
-    x is on an edge when it is on the edge's int_line (A, B, C) and its
+    x is on an edge when it is on the edge's line (A, B, C) and its
     position B*x - A*y along the edge lies in the edge's _span.
     """
-    ip = int_point(x)
+    hx = homogeneous(x)
     found = []
     for eid in edge_ids:
-        A, B, C = inst.int_line(eid)
-        if kernels.line_sign(A, B, C, *ip) != 0:
+        e = inst.edges[eid]
+        A, B, C = e.line
+        if kernels.line_sign(A, B, C, *hx) != 0:
             continue
-        lo, hi = _span(inst.edges[eid].geom, A, B)
+        lo, hi = _span(e.geom, A, B)
         t = B * x.x - A * x.y
         if (lo is None or lo <= t) and (hi is None or t <= hi):
             found.append(eid)
@@ -582,13 +586,13 @@ def _sample_off_hulls(inst: CPAInstance, rng: random.Random,
     """n random rational points in the doubled bounding box, rejecting
     any point on an edge hull.  Raises SamplingStalledError when stuck."""
     box = inst.bbox()
-    lines = [inst.int_line(eid) for eid in inst.edges]
+    lines = [e.line for e in inst.edges.values()]
     out: list[Point] = []
     rejects = 0
     while len(out) < n:
         q = _random_box_point(box, rng)
-        ip = int_point(q)
-        if any(kernels.line_sign(A, B, C, *ip) == 0 for (A, B, C) in lines):
+        hq = homogeneous(q)
+        if any(kernels.line_sign(A, B, C, *hq) == 0 for (A, B, C) in lines):
             rejects += 1
             if rejects >= MAX_SAMPLE_REJECTS:
                 raise SamplingStalledError(
@@ -623,46 +627,26 @@ class ValidationReport:
                             "failures": c.failures} for c in self.checks]}
 
 
-def _pair_form(L: tuple[int, int, int], g: EdgeGeom) -> tuple:
-    """(L, g, ends) for an edge g with int_line L: ends holds the
-    int_point of a segment's a and b, or of a ray's or line's base."""
-    ends = (g.a, g.b) if isinstance(g, Segment) else (edge_base(g),)
-    return L, g, tuple(int_point(q) for q in ends)
-
-
-def _reaches(g: EdgeGeom, ends, L: tuple[int, int, int], rate: int) -> bool:
-    """Whether the edge, with its _pair_form ends, meets the line
-    L = (A, B, C), which it is not parallel to; rate is the sign of
-    A*x + B*y + C's change along the edge's direction."""
-    if isinstance(g, Line):
-        return True
-    if isinstance(g, Segment):
-        # not both ends on L: the edge is not parallel to it
-        return (kernels.line_sign(*L, *ends[0])
-                != kernels.line_sign(*L, *ends[1]))
-    return kernels.line_sign(*L, *ends[0]) != rate
-
-
-def _edges_intersect_cleanly(form1, form2, allowed: set[Point]) -> str | None:
-    """None when two edges, given by their _pair_form, meet only at
-    allowed points, the vertices they share; otherwise a description of
-    the offending overlap."""
-    (L1, g1, ends1), (L2, g2, ends2) = form1, form2
-    (A1, B1, C1), (A2, B2, C2) = L1, L2
+def _edges_intersect_cleanly(e1: EdgeRec, e2: EdgeRec,
+                             allowed) -> str | None:
+    """None when two edges meet only at allowed points, the vertices
+    they share; otherwise a description of the offending overlap."""
+    (A1, B1, C1), (A2, B2, C2) = L1, L2 = e1.line, e2.line
     det = A1 * B2 - B1 * A2
     if det != 0:
-        # the lines meet in one point, which is any shared vertex
-        k = sign(det)
-        if allowed or not (_reaches(g1, ends1, L2, -k)
-                           and _reaches(g2, ends2, L1, k)):
+        # the lines meet in one point, which is any shared vertex; each
+        # edge reaches it when its ends lie on both sides of, or on, the
+        # other edge's line
+        if allowed or not (_straddles(e1, *L2, 0) and _straddles(e2, *L1, 0)):
             return None
         z = Point(Fraction(B1 * C2 - B2 * C1, det),
                   Fraction(A2 * C1 - A1 * C2, det))
         return f"edges cross at {z}"
-    if kernels.line_sign(*L1, *ends2[0]) != 0:
+    # int_line is gcd-reduced, so one line has exactly the forms L, -L
+    if L2 != L1 and L2 != (-A1, -B1, -C1):
         return None
-    lo1, hi1 = _span(g1, A1, B1)
-    lo2, hi2 = _span(g2, A1, B1)
+    lo1, hi1 = _span(e1.geom, A1, B1)
+    lo2, hi2 = _span(e2.geom, A1, B1)
     lo = lo1 if lo2 is None else lo2 if lo1 is None else max(lo1, lo2)
     hi = hi1 if hi2 is None else hi2 if hi1 is None else min(hi1, hi2)
     if lo is None or hi is None or lo < hi:
@@ -779,22 +763,19 @@ def validate(inst: CPAInstance) -> ValidationReport:
                 if eid in seen:
                     fails.append(f"piece {pid}: edge {eid} repeated in boundary")
                 seen.add(eid)
-    eids = sorted(inst.edges)
-    forms = {eid: _pair_form(inst.int_line(eid), inst.edges[eid].geom)
-             for eid in eids}
-    for i, e1 in enumerate(eids):
-        r1 = inst.edges[e1]
-        for e2 in eids[i + 1:]:
-            r2 = inst.edges[e2]
-            shared = {inst.vertices[v] for v in set(r1.vertex_ids) & set(r2.vertex_ids)}
-            msg = _edges_intersect_cleanly(forms[e1], forms[e2], shared)
+    recs = list(inst.edges.items())
+    for i, (e1, r1) in enumerate(recs):
+        for e2, r2 in recs[i + 1:]:
+            shared = [inst.vertices[v] for v in r1.vertex_ids
+                      if v in r2.vertex_ids]
+            msg = _edges_intersect_cleanly(r1, r2, shared)
             if msg is not None:
                 fails.append(f"{e1} vs {e2}: {msg}")
     for pid, piece in inst.pieces.items():
         w = piece.witness
-        iw = int_point(w)
-        for eid in inst.edges:
-            if kernels.line_sign(*inst.int_line(eid), *iw) == 0:
+        hw = homogeneous(w)
+        for eid, e in inst.edges.items():
+            if kernels.line_sign(*e.line, *hw) == 0:
                 fails.append(f"piece {pid}: witness {w} lies on hull of {eid}")
                 break
     checks.append(CheckResult("boundary_components", not fails, fails))

@@ -28,7 +28,7 @@ from math import lcm
 from typing import Dict, Tuple
 
 from .errors import EmptyTermListError, SchemaError
-from .geometry import Point, Rat, rat_from_json, rat_to_json
+from .geometry import Point, Rat, homogeneous, rat_from_json, rat_to_json
 from .kernels import forward_layers
 from .maxform import TermList
 
@@ -188,9 +188,7 @@ def eval_network(net: ReluNetwork, x: Point, mode: str = EXACT):
         kl = net._cache.get("kernel")
         if kl is None:
             kl = net._cache["kernel"] = _kernel_form(net)
-        n, d = forward_layers(
-            *kl, x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
-        )
+        n, d = forward_layers(*kl, *homogeneous(x))
         return Fraction(n, d)
     if mode == FLOAT64:
         fl = net._cache.get("float")

@@ -9,10 +9,11 @@ of each edge), with no membership probe of their own, and both are
 decided on integers: a cone query finds its sector of the star with
 geometry.sector_index, which orders directions by the one CCW
 comparator geometry.ccw_angle_cmp, and a half-plane query takes the
-sign of the edge's int_line with kernels.line_sign.  Summing their
-indicators (lines positive, segments negative) plus the correction
-constant c(P) reproduces the indicator of P at every general-position
-point; indicator_identity_check tests exactly that.
+sign of the edge's line (model.EdgeRec.line) at the point's
+homogeneous (X, Y, W) with kernels.line_sign.  Summing their indicators
+(lines positive, segments negative) plus the correction constant c(P)
+reproduces the indicator of P at every general-position point;
+indicator_identity_check tests exactly that.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from .geometry import (
     Point,
     Rat,
     Ray,
+    homogeneous,
     int_direction,
     int_offset,
-    int_point,
     sector_index,
 )
 from .model import (
@@ -103,8 +104,7 @@ def edge_halfplane_contains(inst: CPAInstance, piece_id: str, edge_id: str,
     left, right = edge_sides(inst, edge_id)
     if piece_id not in (left, right):
         raise InvalidInputError(f"edge {edge_id} does not bound piece {piece_id}")
-    A, B, C = inst.int_line(edge_id)
-    s = kernels.line_sign(A, B, C, *int_point(x))
+    s = kernels.line_sign(*inst.edges[edge_id].line, *homogeneous(x))
     if s == 0:
         raise GeneralPositionError(
             f"{x} lies on the affine hull of edge {edge_id}")
@@ -128,7 +128,7 @@ def point_in_cycle(inst: CPAInstance, cycle_edges, x: Point) -> bool:
     segment to a point outside the instance's bounding box)."""
     box = inst.bbox()
     far = Point(box[2] + 1, box[3] + 2)
-    return _parity(inst.edge_lines(cycle_edges), x, far) == 1
+    return _parity([inst.edges[eid] for eid in cycle_edges], x, far) == 1
 
 
 def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:

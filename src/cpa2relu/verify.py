@@ -7,13 +7,15 @@ continuous piecewise-affine functions differ on a region of positive
 area, but that region may lie wholly outside the box: a network with an
 extra term max(0, x - 1000) agrees with a small instance everywhere the
 sampler looks.  "certified" therefore means agreement at the samples in
-the box, and nothing more.  The stage evaluators are exact: the instance
-through crossing-parity membership; the decomposition with its sectors
+the box, and nothing more.  The stage evaluators are exact, and the
+integer ones take a sample in homogeneous form (X, Y, W)
+(geometry.homogeneous): the instance through crossing-parity membership
+on the edges' integer lines and ends; the decomposition with its sectors
 and sides decided on integers (geometry.sector_index for each fan,
 kernels.line_sign for each edge pair) and its values in Fractions; the
-term list through the integer kernels in cpa2relu.kernels; the network
-through kernels.forward_layers on its cached integer rows, each unit
-scaled by an integer that ReLU commutes with, divided once at the output.
+term list through kernels.eval_terms; the network through
+kernels.forward_layers on its cached integer rows, each unit scaled by
+an integer that ReLU commutes with, divided once at the output.
 
 Reports are plain data and fully reproducible: the same instance and seed
 always produce byte-identical JSON.

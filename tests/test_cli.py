@@ -170,6 +170,25 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_usage_error(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert cli.run(["compile", str(corpus_dir / "hat.json"),
+                    "-o", str(out)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_directory_input_is_usage_error(corpus_dir, capsys):
+    assert cli.run(["validate", str(corpus_dir)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_corpus_onto_a_file_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.run(["corpus", "-o", str(taken)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_bad_arguments_are_usage_errors(corpus_dir, capsys):
     assert cli.run(["frobnicate"]) == 2
     assert cli.run(["eval", str(corpus_dir / "hat.json")]) == 2  # no --point

@@ -35,6 +35,14 @@ def test_shipped_corpus_matches_generator(corpus_docs):
         assert (CORPUS_DIR / f"{name}.json").read_text() == text, name
 
 
+def test_write_corpus_reproduces_the_shipped_files(tmp_path):
+    paths = [Path(p) for p in corpus.write_corpus(tmp_path, 7)]
+    assert [p.name for p in paths] == sorted(
+        p.name for p in CORPUS_DIR.glob("*.json"))
+    for p in paths:
+        assert p.read_bytes() == (CORPUS_DIR / p.name).read_bytes(), p.name
+
+
 def test_random_instance_is_deterministic():
     a = corpus.random_instance(seed=7)
     b = corpus.random_instance(seed=7)

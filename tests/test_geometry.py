@@ -1,21 +1,22 @@
 """Exact-predicate properties: orientation, CCW sorting and sectors,
-crossing parity, points on edges and clean edge intersections."""
+homogeneous points, crossing parity, points on edges and clean edge
+intersections."""
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cpa2relu.geometry import (
     Direction, Line, Ray, Segment, ccw_sort_directions, cross, dot, dr,
-    edge_base, edge_direction, int_direction, int_line, int_offset,
+    edge_base, edge_direction, homogeneous, int_direction, int_offset,
     orientation, pt, rat_from_json, rat_to_json, same_direction,
     sector_index, sub, translate,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
 from cpa2relu.model import (
-    GENERIC, CPAInstance, EdgeRec, _edges_intersect_cleanly, _pair_form,
-    _parity, edges_at,
+    GENERIC, CPAInstance, EdgeRec, _edges_intersect_cleanly, _parity,
+    edges_at,
 )
 
 rats = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
@@ -117,6 +118,13 @@ def test_sector_index_matches_the_fraction_scan(dirs, opposite, shift, along,
     assert got == _fraction_sector(rays, u)
 
 
+@given(points)
+def test_homogeneous_round_trips(p):
+    X, Y, W = homogeneous(p)
+    assert W > 0
+    assert (Fraction(X, W), Fraction(Y, W)) == (p.x, p.y)
+
+
 @given(points, points)
 def test_int_offset_points_along_the_difference(p, q):
     u = dr(*int_offset(p, q))
@@ -130,7 +138,7 @@ def test_closed_loop_crosses_line_evenly(loop, base, d):
     # each loop vertex moves by the same nudge in both of its segments,
     # so the moved loop is closed and meets the line an even number of
     # times, wherever the vertices lie
-    lines = [(int_line(Line(base, d)), Line(base, d))]
+    lines = _recs([Line(base, d)])
     closed = loop + [loop[0]]
     assert sum(_parity(lines, p, q) for p, q in zip(closed, closed[1:])) % 2 == 0
 
@@ -140,28 +148,30 @@ SQUARE = [Segment(pt(0, 0), pt(2, 0)), Segment(pt(2, 0), pt(2, 2)),
 QUADRANT = [Ray(pt(0, 0), dr(1, 0)), Ray(pt(0, 0), dr(0, 1))]
 
 
-def _lines(edges):
-    return [(int_line(g), g) for g in edges]
+def _recs(edges):
+    """The edges as EdgeRecs, the form _parity and the pair check take;
+    pieces and vertex ids play no part in either."""
+    return [EdgeRec(f"e{i}", g, ("P", "Q"), ()) for i, g in enumerate(edges)]
 
 
 def test_parity_settles_paths_that_needed_detours():
-    seg = _lines(SQUARE[:1])
+    seg = _recs(SQUARE[:1])
     # both endpoints on the hull of a segment, or of a ray, off the edge
     assert _parity(seg, pt(5, 0), pt(-3, 0)) == 0
-    assert _parity(_lines(QUADRANT[:1]), pt(-2, 0), pt(-5, 0)) == 0
+    assert _parity(_recs(QUADRANT[:1]), pt(-2, 0), pt(-5, 0)) == 0
     # a path through a corner of the square: in, and past it outside
-    square = _lines(SQUARE)
+    square = _recs(SQUARE)
     assert _parity(square, pt(-1, -1), pt(1, 1)) == 1
     assert _parity(square, pt(-1, 1), pt(1, -1)) == 0
     assert _parity(square, pt(3, 3), pt(1, 1)) == 1
     # a path through the apex of two rays: into the quadrant, and past it
-    quadrant = _lines(QUADRANT)
+    quadrant = _recs(QUADRANT)
     assert _parity(quadrant, pt(-1, -1), pt(1, 1)) == 1
     assert _parity(quadrant, pt(-1, 1), pt(1, -1)) == 0
     # a path along a side of the square, through two corners
     assert _parity(square, pt(-1, 0), pt(3, 0)) == 0
     # and along a line
-    line = _lines([Line(pt(0, 1), dr(1, 0))])
+    line = _recs([Line(pt(0, 1), dr(1, 0))])
     assert _parity(line, pt(-4, 1), pt(7, 1)) == 0
 
 
@@ -191,7 +201,10 @@ def _crossings_moved(edges, x, w, nudge):
     return count
 
 
-grid = st.builds(pt, st.integers(-3, 3), st.integers(-3, 3))
+# rational grid points, so homogeneous forms have W > 1
+grid_coords = st.integers(1, 4).flatmap(
+    lambda d: st.builds(Fraction, st.integers(-3 * d, 3 * d), st.just(d)))
+grid = st.builds(pt, grid_coords, grid_coords)
 small_dirs = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
     lambda t: t != (0, 0))
 edges_st = st.one_of(
@@ -207,7 +220,7 @@ nudges = st.one_of(st.just(GENERIC), st.tuples(small_dirs, small_dirs).filter(
 @given(st.lists(edges_st, max_size=6), grid, grid, nudges)
 def test_parity_matches_a_moved_fraction_count(edges, x, w, nudge):
     assume(x != w)
-    assert _parity(_lines(edges), x, w, nudge) == \
+    assert _parity(_recs(edges), x, w, nudge) == \
         _crossings_moved(edges, x, w, nudge) % 2
 
 
@@ -289,12 +302,15 @@ def _ends(g):
 
 
 @given(edges_st, edges_st, st.booleans())
+# one hull line, two opposite orientations: an overlap, and a touch
+@example(Segment(pt(0, 0), pt(2, 0)), Segment(pt(3, 0), pt(1, 0)), False)
+@example(Ray(pt(0, 0), dr(1, 0)), Ray(pt(0, 0), dr(-1, 0)), False)
 def test_clean_intersection_matches_the_fraction_check(g1, g2, shared):
     # allowed is what validate passes: the vertices the edges share,
     # or none when coinciding ends belong to different vertices
     allowed = _ends(g1) & _ends(g2) if shared else set()
-    got = _edges_intersect_cleanly(_pair_form(int_line(g1), g1),
-                                   _pair_form(int_line(g2), g2), allowed)
+    r1, r2 = _recs([g1, g2])
+    got = _edges_intersect_cleanly(r1, r2, allowed)
     assert got == _fraction_clean(g1, g2, allowed)
 
 

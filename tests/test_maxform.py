@@ -105,17 +105,22 @@ def test_merge_step_four_sector():
         assert fan_sum(fan, q) == eval_fan(fan, q)
 
 
-def test_broken_sector_raises_from_reduce():
-    broken = Fan(FIVE.center, FIVE.rays, (X, Y, -X + Y, -Y, X))
-    with pytest.raises(ContinuityError):
-        reduce(Decomposition((broken,), (), ZERO))
-
-
 # ---------------------------------------------------------------------------
 # cross case
 
 CROSS_FAN = Fan(pt(0, 0), (dr(1, 0), dr(0, 1), dr(-1, 0), dr(0, -1)),
                 (aff(1, 1, 0), aff(-1, 1, 0), aff(-1, -1, 0), aff(1, -1, 0)))
+
+
+def test_broken_sector_raises_from_reduce():
+    torn_five = Fan(FIVE.center, FIVE.rays, (X, Y, -X + Y, -Y, X))
+    # torn along +x only; two crossing lines take no peeling step, so
+    # nothing but fan_to_terms' own validation looks at the sectors
+    torn_cross = Fan(CROSS_FAN.center, CROSS_FAN.rays,
+                     CROSS_FAN.sector_affines[:3] + (aff(2, -1, 0),))
+    for broken in (torn_five, torn_cross):
+        with pytest.raises(ContinuityError):
+            reduce(Decomposition((broken,), (), ZERO))
 
 
 def test_split_cross_case():

@@ -296,7 +296,7 @@ def test_sampler_stays_off_hulls(corpus_insts):
     assert len(pts) == 64
     for x in pts:
         for eid in inst.edges:
-            a, b, c = inst.int_line(eid)
+            a, b, c = inst.edges[eid].line
             assert a * x.x + b * x.y + c != 0
 
 
