@@ -8,12 +8,20 @@ The signed sum of these blocks reproduces the function exactly:
 
 where the tail collects c(P) * f_P over all pieces.  Ray edges carry no
 block of their own; their contribution is absorbed by the vertex fans.
+
+eval_decomposition runs on integers: on first evaluation a Decomposition
+builds its kernel_form, every affine as an integer triple over one
+common denominator L, and kernels.eval_blocks selects each block's
+triple at the sample's homogeneous (X, Y, W), sums them and applies the
+sum once; the only Fraction is the quotient N/(L*W).  decompose() does
+not build that form, so compiling never pays for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import kernels
 from .errors import ContinuityError, InvalidInputError
@@ -25,13 +33,13 @@ from .geometry import (
     Ray,
     homogeneous,
     int_direction,
-    int_offset,
     rat_to_json,
-    sector_index,
     translate,
 )
 from .model import AffineFunc, CPAInstance, edge_sides, vertex_star
 from .sides import conic_coeff
+
+_ZERO_AFFINE = AffineFunc(Fraction(0), Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,6 @@ def validate_fan(fan: Fan) -> None:
                     f"fan sectors {i - 1} and {i} disagree at {q}")
 
 
-def eval_fan(fan: Fan, x: Point) -> Rat:
-    """Value of the fan at x, from the sector that sector_index finds
-    for x - center on integers.  A point on ray i takes sector i and the
-    center takes sector 0; continuity makes either choice irrelevant."""
-    u = int_offset(x, fan.center)
-    i = sector_index(fan.int_rays, u)[0] if u != (0, 0) else 0
-    return fan.sector_affines[i](x)
-
-
 @dataclass(frozen=True)
 class EdgePair:
     """A two-piece function split by a line: plus_side_affine on
@@ -91,24 +90,42 @@ class EdgePair:
     minus_side_affine: AffineFunc
     sign: int
 
-    @cached_property
-    def int_boundary(self) -> tuple[int, int, int]:
-        """(A, B, C) with A*x + B*y + C a positive multiple of boundary."""
-        return self.boundary.int_form()[:3]
-
-
-def eval_edge_pair(pair: EdgePair, x: Point) -> Rat:
-    """The plus side's value on {boundary >= 0}, the line included."""
-    if kernels.line_sign(*pair.int_boundary, *homogeneous(x)) >= 0:
-        return pair.plus_side_affine(x)
-    return pair.minus_side_affine(x)
-
 
 @dataclass(frozen=True)
 class Decomposition:
     fans: tuple[Fan, ...]
     edge_pairs: tuple[EdgePair, ...]
     tail: AffineFunc
+
+    @cached_property
+    def kernel_form(self) -> tuple[int, tuple, tuple, tuple[int, int, int]]:
+        """(L, fans, pairs, tail) for kernels.eval_blocks, built on first
+        evaluation: every affine as an integer triple over the common
+        denominator L, each fan's centre in homogeneous form beside its
+        int_rays, each pair's boundary as integers (A, B, C) with its
+        sign folded into its two triples.  Not a field, so equality,
+        hashing and the JSON dump never see it."""
+        affines = [self.tail]
+        for f in self.fans:
+            affines.extend(f.sector_affines)
+        for p in self.edge_pairs:
+            affines += (p.plus_side_affine, p.minus_side_affine)
+        forms = {g: g.int_form() for g in affines}
+        L = lcm(*(D for _, _, _, D in forms.values()))
+
+        def triple(g: AffineFunc, s: int = 1) -> tuple[int, int, int]:
+            A, B, C, D = forms[g]
+            k = s * (L // D)
+            return (A * k, B * k, C * k)
+
+        fans = tuple((*homogeneous(f.center), f.int_rays,
+                      tuple(triple(g) for g in f.sector_affines))
+                     for f in self.fans)
+        pairs = tuple((*p.boundary.int_form()[:3],
+                       triple(p.plus_side_affine, p.sign),
+                       triple(p.minus_side_affine, p.sign))
+                      for p in self.edge_pairs)
+        return L, fans, pairs, triple(self.tail)
 
 
 def build_vertex_function(inst: CPAInstance, vertex_id: str) -> Fan:
@@ -174,7 +191,7 @@ def decompose(inst: CPAInstance) -> Decomposition:
     pairs = tuple(build_edge_function(inst, eid)
                   for eid in sorted(inst.edges)
                   if not isinstance(inst.edges[eid].geom, Ray))
-    tail = AffineFunc(Fraction(0), Fraction(0), Fraction(0))
+    tail = _ZERO_AFFINE
     for pid in sorted(inst.pieces):
         c = conic_coeff(inst, pid).c
         if c:
@@ -183,12 +200,16 @@ def decompose(inst: CPAInstance) -> Decomposition:
 
 
 def eval_decomposition(dec: Decomposition, x: Point) -> Rat:
-    total = dec.tail(x)
-    for fan in dec.fans:
-        total += eval_fan(fan, x)
-    for pair in dec.edge_pairs:
-        total += pair.sign * eval_edge_pair(pair, x)
-    return total
+    """Exact value of the decomposition at x: x is converted to (X, Y, W)
+    once, and kernels.eval_blocks picks and sums every block's triple."""
+    X, Y, W = homogeneous(x)
+    L, fans, pairs, tail = dec.kernel_form
+    return Fraction(kernels.eval_blocks(fans, pairs, tail, X, Y, W), L * W)
+
+
+def eval_fan(fan: Fan, x: Point) -> Rat:
+    """Value of the fan alone at x: a one-block eval_decomposition."""
+    return eval_decomposition(Decomposition((fan,), (), _ZERO_AFFINE), x)
 
 
 # ---------------------------------------------------------------------------

@@ -245,20 +245,16 @@ def homogeneous(p: Point) -> tuple[int, int, int]:
     return (xn * yd, yn * xd, xd * yd)
 
 
+def from_homogeneous(h: tuple[int, int, int]) -> Point:
+    """The point (X/W, Y/W) of h = (X, Y, W), W > 0."""
+    X, Y, W = h
+    return Point(Fraction(X, W), Fraction(Y, W))
+
+
 def int_direction(d: Direction) -> tuple[int, int]:
     """d scaled by a positive integer to an integer pair."""
     return (d.dx.numerator * d.dy.denominator,
             d.dy.numerator * d.dx.denominator)
-
-
-def int_offset(p: Point, q: Point) -> tuple[int, int]:
-    """p - q scaled by a positive integer to an integer pair, without
-    building a Fraction."""
-    px, py, qx, qy = p.x, p.y, q.x, q.y
-    return ((px.numerator * qx.denominator - qx.numerator * px.denominator)
-            * py.denominator * qy.denominator,
-            (py.numerator * qy.denominator - qy.numerator * py.denominator)
-            * px.denominator * qx.denominator)
 
 
 def int_line(e: EdgeGeom) -> tuple[int, int, int]:

@@ -9,11 +9,17 @@ forward_layers needs no denominators at all: each network unit carries a
 fixed integer scale, folded into its row's integer weights once per
 network, so a forward pass is integer multiply-adds and one division at
 the end.  ReLU commutes with a positive scale (max(e*z, 0) = e*max(z, 0)
-for e > 0), so it is applied to the scaled ints directly.  All
-arithmetic is exact.  TermList.__call__, network.eval_network and the
-crossing-parity membership in model run on these kernels.
+for e > 0), so it is applied to the scaled ints directly.  eval_blocks
+needs one denominator only: every affine of a decomposition is stored as
+an integer triple over the decomposition's common denominator L, so a
+sample's value is the sum of the triples its blocks select, applied
+once to (X, Y, W) and divided by L*W.  All arithmetic is exact.
+decompose.eval_decomposition, TermList.__call__, network.eval_network
+and the crossing-parity membership in model run on these kernels.
 """
 from math import gcd
+
+from .geometry import sector_index
 
 
 def line_sign(A, B, C, X, Y, W):
@@ -24,6 +30,36 @@ def line_sign(A, B, C, X, Y, W):
     if v < 0:
         return -1
     return 0
+
+
+def eval_blocks(fans, pairs, tail, X, Y, W):
+    """W*L times the value of a decomposition at the point (X/W, Y/W),
+    L the common denominator of its integer triples (a, b, c), each
+    standing for (a*x + b*y + c)/L.
+
+    fans holds (cX, cY, cW, rays, sectors) per fan: its centre in
+    homogeneous form, its rays as integer pairs in strict CCW order and
+    one triple per sector.  The offset (X*cW - cX*W, Y*cW - cY*W) is a
+    positive multiple of x - centre, so sector_index finds its sector: a
+    point on ray i takes sector i, and the centre takes sector 0.  pairs
+    holds (A, B, C, plus, minus) per edge pair: the boundary line and the
+    triple on each side, the pair's sign already folded in; a point with
+    A*X + B*Y + C*W >= 0 takes plus, the line included.  tail is one
+    triple.  The selected triples are summed, then applied once.
+    """
+    a, b, c = tail
+    for cX, cY, cW, rays, sectors in fans:
+        u = (X * cW - cX * W, Y * cW - cY * W)
+        sa, sb, sc = sectors[sector_index(rays, u)[0] if u != (0, 0) else 0]
+        a += sa
+        b += sb
+        c += sc
+    for A, B, C, plus, minus in pairs:
+        sa, sb, sc = plus if A * X + B * Y + C * W >= 0 else minus
+        a += sa
+        b += sb
+        c += sc
+    return a * X + b * Y + c * W
 
 
 def eval_terms(terms, X, Y, W):

@@ -9,9 +9,12 @@ degenerate position resolved by symbolic perturbation (_parity).
 
 Each EdgeRec builds its integer form once: the int_line (A, B, C) of its
 hull and its two ends in homogeneous (X, Y, W), W = 0 for an end at
-infinity.  One predicate, _straddles, asks whether those ends lie on
-opposite sides of a line; it decides the crossings in _parity and the
-edge-pair check in validate.
+infinity.  Each Piece builds its witness's (X, Y, W) once.  One
+predicate, _straddles, asks whether those ends lie on opposite sides of
+a line; it decides the crossings in _parity and the edge-pair check in
+validate.  _parity, _member_core and edges_at take points in that
+homogeneous form, so eval_cpa converts its sample once for every edge
+and every piece.
 """
 from __future__ import annotations
 
@@ -128,6 +131,12 @@ class Piece:
     affine: AffineFunc
     boundary: tuple[BoundaryComponent, ...]
     witness: Point
+
+    @cached_property
+    def int_witness(self) -> tuple[int, int, int]:
+        """The witness in homogeneous (X, Y, W), the form _parity takes;
+        built once, outside equality and hashing."""
+        return homogeneous(self.witness)
 
 
 @dataclass(frozen=True)
@@ -383,8 +392,10 @@ def _straddles(e: EdgeRec, A: int, B: int, C: int, tie: int) -> bool:
     return ((s0 > 0) - (s0 < 0) or tie) != ((s1 > 0) - (s1 < 0) or tie)
 
 
-def _parity(edges, x: Point, w: Point, nudge=GENERIC) -> int:
-    """Crossing parity (0 or 1) of the segment x-w against EdgeRecs.
+def _parity(edges, hx: tuple[int, int, int], hw: tuple[int, int, int],
+            nudge=GENERIC) -> int:
+    """Crossing parity (0 or 1) of the segment x-w against EdgeRecs, the
+    points x and w given in homogeneous form (geometry.homogeneous).
 
     Both endpoints move by eps*n1 + eps**2*n2, nudge = (n1, n2) two
     independent integer vectors, for an infinitesimal eps > 0 (simulation
@@ -397,9 +408,9 @@ def _parity(edges, x: Point, w: Point, nudge=GENERIC) -> int:
     opposite sides of the moved segment's line (_straddles).  Integer
     arithmetic only.
     """
-    if x == w:
+    (X1, Y1, W1), (X2, Y2, W2) = hx, hw
+    if X1 * W2 == X2 * W1 and Y1 * W2 == Y2 * W1:
         return 0
-    (X1, Y1, W1), (X2, Y2, W2) = homogeneous(x), homogeneous(w)
     through = None
     count = 0
     for e in edges:
@@ -443,12 +454,13 @@ def _random_box_point(box: tuple[Rat, Rat, Rat, Rat],
     return Point(*coords)
 
 
-def _member_core(inst: CPAInstance, pid: str, x: Point,
+def _member_core(inst: CPAInstance, pid: str, hx: tuple[int, int, int],
                  nudge=GENERIC) -> bool:
-    """Whether x, moved by the nudge (see _parity), lies in the piece:
-    even crossing parity to the piece's witness.  x must be off the
-    piece's boundary, or the nudge must carry it off."""
-    return _parity(inst.piece_recs[pid], x, inst.pieces[pid].witness,
+    """Whether x, given in homogeneous form hx and moved by the nudge
+    (see _parity), lies in the piece: even crossing parity to the
+    piece's witness.  x must be off the piece's boundary, or the nudge
+    must carry it off."""
+    return _parity(inst.piece_recs[pid], hx, inst.pieces[pid].int_witness,
                    nudge) == 0
 
 
@@ -483,10 +495,10 @@ def edge_sides(inst: CPAInstance, eid: str) -> tuple[str, str]:
             raise InvalidInputError(
                 f"edge {eid} is missing from the boundary of piece {pid}")
     A, B, _ = e.line
-    m = _edge_interior_point(e.geom)
     nudge = ((A, B), (-B, A))
-    in_q = _member_core(inst, q, m, nudge)
-    in_r = _member_core(inst, r, m, nudge)
+    hm = homogeneous(_edge_interior_point(e.geom))
+    in_q = _member_core(inst, q, hm, nudge)
+    in_r = _member_core(inst, r, hm, nudge)
     if in_q == in_r:
         raise InvalidInputError(
             f"pieces {q} and {r} are not on opposite sides of edge {eid}")
@@ -531,30 +543,38 @@ def _span(g: EdgeGeom, A: int, B: int) -> tuple[Rat | None, Rat | None]:
     return (tv, None) if B * g.d.dx - A * g.d.dy > 0 else (None, tv)
 
 
-def edges_at(inst: CPAInstance, x: Point, edge_ids) -> list[str]:
-    """The edges among edge_ids that contain x, ends included.
+def edges_at(inst: CPAInstance, hx: tuple[int, int, int],
+             edge_ids) -> list[str]:
+    """The edges among edge_ids that contain the point x = (X/W, Y/W),
+    given as hx = (X, Y, W), ends included.
 
     x is on an edge when it is on the edge's line (A, B, C) and its
-    position B*x - A*y along the edge lies in the edge's _span.
+    position B*x - A*y along the edge lies between those of the edge's
+    two ends (EdgeRec.ends); an end at infinity lies at +infinity or
+    -infinity along (B, -A).  Integers only.
     """
-    hx = homogeneous(x)
+    X, Y, W = hx
     found = []
     for eid in edge_ids:
         e = inst.edges[eid]
         A, B, C = e.line
-        if kernels.line_sign(A, B, C, *hx) != 0:
+        if A * X + B * Y + C * W != 0:
             continue
-        lo, hi = _span(e.geom, A, B)
-        t = B * x.x - A * x.y
-        if (lo is None or lo <= t) and (hi is None or t <= hi):
+        t = B * X - A * Y
+        (X0, Y0, W0), (X1, Y1, W1) = e.ends
+        s0 = (B * X0 - A * Y0) * W - t * W0
+        s1 = (B * X1 - A * Y1) * W - t * W1
+        if s0 * s1 <= 0:
             found.append(eid)
     return found
 
 
-def _pieces_at(inst: CPAInstance, x: Point) -> dict[str, Rat]:
-    """Pieces touching x through an edge or vertex, with their values."""
+def _pieces_at(inst: CPAInstance, x: Point,
+               hx: tuple[int, int, int]) -> dict[str, Rat]:
+    """Pieces touching x (hx its homogeneous form) through an edge or
+    vertex, with their values."""
     found: dict[str, Rat] = {}
-    for eid in edges_at(inst, x, inst.edges):
+    for eid in edges_at(inst, hx, inst.edges):
         for pid in inst.edges[eid].pieces:
             found[pid] = inst.pieces[pid].affine(x)
     return found
@@ -565,16 +585,18 @@ def eval_cpa(inst: CPAInstance, x: Point) -> Rat:
 
     Points on edges are evaluated through every incident piece and the
     values are cross-checked; interior points go through the membership
-    oracle.
+    oracle.  x is converted to homogeneous form once, for every edge and
+    every piece.
     """
-    touching = _pieces_at(inst, x)
+    hx = homogeneous(x)
+    touching = _pieces_at(inst, x, hx)
     if touching:
         vals = set(touching.values())
         if len(vals) != 1:
             raise ContinuityError(
                 f"incident pieces disagree at {x}: {sorted(touching.items())}")
         return vals.pop()
-    matches = [pid for pid in inst.pieces if _member_core(inst, pid, x)]
+    matches = [pid for pid in inst.pieces if _member_core(inst, pid, hx)]
     if len(matches) != 1:
         raise NoPieceFoundError(
             f"point {x} lies in {len(matches)} pieces; the cover is broken")
@@ -772,11 +794,11 @@ def validate(inst: CPAInstance) -> ValidationReport:
             if msg is not None:
                 fails.append(f"{e1} vs {e2}: {msg}")
     for pid, piece in inst.pieces.items():
-        w = piece.witness
-        hw = homogeneous(w)
+        hw = piece.int_witness
         for eid, e in inst.edges.items():
             if kernels.line_sign(*e.line, *hw) == 0:
-                fails.append(f"piece {pid}: witness {w} lies on hull of {eid}")
+                fails.append(f"piece {pid}: witness {piece.witness} "
+                             f"lies on hull of {eid}")
                 break
     checks.append(CheckResult("boundary_components", not fails, fails))
 
@@ -793,9 +815,9 @@ def validate(inst: CPAInstance) -> ValidationReport:
     # face, and every point off the edges, lies in exactly one piece.
     fails = []
     first, *others = inst.pieces
-    w = inst.pieces[first].witness
+    hw = inst.pieces[first].int_witness
     for pid in others:
-        if _member_core(inst, pid, w):
+        if _member_core(inst, pid, hw):
             fails.append(f"witness of {first} is not separated from {pid}")
     checks.append(CheckResult("witness_separation", not fails, fails))
 

@@ -168,8 +168,8 @@ def _float_form(net: ReluNetwork):
     return out
 
 
-def _forward_float(flayers, x: float, y: float) -> float:
-    vals = [x, y]
+def _forward_float(flayers, x: Point) -> float:
+    vals = [float(x.x), float(x.y)]
     last = len(flayers) - 1
     for li, (rows, trips, bias) in enumerate(flayers):
         acc = list(bias)
@@ -194,7 +194,7 @@ def eval_network(net: ReluNetwork, x: Point, mode: str = EXACT):
         fl = net._cache.get("float")
         if fl is None:
             fl = net._cache["float"] = _float_form(net)
-        return _forward_float(fl, float(x.x), float(x.y))
+        return _forward_float(fl, x)
     raise ValueError(f"unknown evaluation mode: {mode!r}")
 
 

@@ -13,7 +13,9 @@ sign of the edge's line (model.EdgeRec.line) at the point's
 homogeneous (X, Y, W) with kernels.line_sign.  Summing their indicators
 (lines positive, segments negative) plus the correction constant c(P)
 reproduces the indicator of P at every general-position point;
-indicator_identity_check tests exactly that.
+indicator_identity_check tests exactly that.  It converts the point to
+(X, Y, W) once and hands that form to every cone, half-plane and
+membership test; the public tests below take a Point and convert it.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ from .geometry import (
     Point,
     Rat,
     Ray,
+    from_homogeneous,
     homogeneous,
     int_direction,
-    int_offset,
     sector_index,
 )
 from .model import (
@@ -49,22 +51,29 @@ def member(inst: CPAInstance, piece_id: str, x: Point) -> bool:
     Boundary points are refused with OnBoundaryError; use eval_cpa for
     function values there.
     """
-    on = edges_at(inst, x, inst.piece_edges[piece_id])
+    return _member(inst, piece_id, homogeneous(x))
+
+
+def _member(inst: CPAInstance, piece_id: str, hx: tuple) -> bool:
+    on = edges_at(inst, hx, inst.piece_edges[piece_id])
     if on:
-        raise OnBoundaryError(f"{x} lies on edge {on[0]} of piece {piece_id}")
-    return _member_core(inst, piece_id, x)
+        raise OnBoundaryError(f"{from_homogeneous(hx)} lies on edge {on[0]} "
+                              f"of piece {piece_id}")
+    return _member_core(inst, piece_id, hx)
 
 
 # ---------------------------------------------------------------------------
 # Vertex cones
 
-def _star(inst: CPAInstance, vertex_id: str) -> tuple[tuple, list]:
-    """(rays, star): model.vertex_star with its directions as integer
-    pairs, the form sector_index takes.  Cached per vertex."""
+def _star(inst: CPAInstance, vertex_id: str) -> tuple[tuple, list, tuple]:
+    """(rays, star, hv): model.vertex_star with its directions as integer
+    pairs, the form sector_index takes, and the vertex in homogeneous
+    form.  Cached per vertex."""
     cached = inst._stars.get(vertex_id)
     if cached is None:
         star = vertex_star(inst, vertex_id)
-        cached = (tuple(int_direction(d) for d, _, _ in star), star)
+        cached = (tuple(int_direction(d) for d, _, _ in star), star,
+                  homogeneous(inst.vertices[vertex_id]))
         inst._stars[vertex_id] = cached
     return cached
 
@@ -80,18 +89,25 @@ def vertex_cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
     piece's edge lies outside the cone, since both sides of that edge
     belong to other pieces.
     """
+    return _cone_contains(inst, piece_id, vertex_id, homogeneous(x))
+
+
+def _cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
+                   hx: tuple) -> bool:
     if vertex_id not in inst.piece_vertices[piece_id]:
         raise InvalidInputError(
             f"vertex {vertex_id} is not on the boundary of piece {piece_id}")
-    v = inst.vertices[vertex_id]
-    if x == v:
-        raise GeneralPositionError(f"{x} coincides with vertex {vertex_id}")
-    rays, star = _star(inst, vertex_id)
-    i, on_ray = sector_index(rays, int_offset(x, v))
+    rays, star, (vX, vY, vW) = _star(inst, vertex_id)
+    X, Y, W = hx
+    u = (X * vW - vX * W, Y * vW - vY * W)  # a positive multiple of x - v
+    if u == (0, 0):
+        raise GeneralPositionError(
+            f"{from_homogeneous(hx)} coincides with vertex {vertex_id}")
+    i, on_ray = sector_index(rays, u)
     _, ccw, cw = star[i]
     if on_ray and piece_id in (ccw, cw):
-        raise GeneralPositionError(
-            f"{x} is aligned with an edge at vertex {vertex_id}")
+        raise GeneralPositionError(f"{from_homogeneous(hx)} is aligned with "
+                                   f"an edge at vertex {vertex_id}")
     return ccw == piece_id
 
 
@@ -101,13 +117,18 @@ def vertex_cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
 def edge_halfplane_contains(inst: CPAInstance, piece_id: str, edge_id: str,
                             x: Point) -> bool:
     """Whether x lies on the piece's side of the edge's affine hull."""
+    return _halfplane_contains(inst, piece_id, edge_id, homogeneous(x))
+
+
+def _halfplane_contains(inst: CPAInstance, piece_id: str, edge_id: str,
+                        hx: tuple) -> bool:
     left, right = edge_sides(inst, edge_id)
     if piece_id not in (left, right):
         raise InvalidInputError(f"edge {edge_id} does not bound piece {piece_id}")
-    s = kernels.line_sign(*inst.edges[edge_id].line, *homogeneous(x))
+    s = kernels.line_sign(*inst.edges[edge_id].line, *hx)
     if s == 0:
         raise GeneralPositionError(
-            f"{x} lies on the affine hull of edge {edge_id}")
+            f"{from_homogeneous(hx)} lies on the affine hull of edge {edge_id}")
     return (s > 0) == (piece_id == left)
 
 
@@ -128,7 +149,8 @@ def point_in_cycle(inst: CPAInstance, cycle_edges, x: Point) -> bool:
     segment to a point outside the instance's bounding box)."""
     box = inst.bbox()
     far = Point(box[2] + 1, box[3] + 2)
-    return _parity([inst.edges[eid] for eid in cycle_edges], x, far) == 1
+    return _parity([inst.edges[eid] for eid in cycle_edges], homogeneous(x),
+                   homogeneous(far)) == 1
 
 
 def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:
@@ -168,19 +190,21 @@ def indicator_identity_check(inst: CPAInstance, piece_id: str,
     lhs counts vertex cones plus line half-planes minus segment
     half-planes plus c(P); rhs is the membership indicator.  Rays are
     deliberately absent: their contribution lives in the vertex cones.
+    x is converted to homogeneous form once, for every test below.
     """
+    hx = homogeneous(x)
     lhs = conic_coeff(inst, piece_id).c
     for vid in inst.piece_vertices[piece_id]:
-        if vertex_cone_contains(inst, piece_id, vid, x):
+        if _cone_contains(inst, piece_id, vid, hx):
             lhs += 1
     for eid in inst.piece_edges[piece_id]:
         g = inst.edges[eid].geom
         if isinstance(g, Ray):
             continue
-        inside = edge_halfplane_contains(inst, piece_id, eid, x)
+        inside = _halfplane_contains(inst, piece_id, eid, hx)
         if isinstance(g, Line):
             lhs += 1 if inside else 0
         else:
             lhs -= 1 if inside else 0
-    rhs = 1 if member(inst, piece_id, x) else 0
+    rhs = 1 if _member(inst, piece_id, hx) else 0
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}

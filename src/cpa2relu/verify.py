@@ -7,15 +7,19 @@ continuous piecewise-affine functions differ on a region of positive
 area, but that region may lie wholly outside the box: a network with an
 extra term max(0, x - 1000) agrees with a small instance everywhere the
 sampler looks.  "certified" therefore means agreement at the samples in
-the box, and nothing more.  The stage evaluators are exact, and the
-integer ones take a sample in homogeneous form (X, Y, W)
-(geometry.homogeneous): the instance through crossing-parity membership
-on the edges' integer lines and ends; the decomposition with its sectors
-and sides decided on integers (geometry.sector_index for each fan,
-kernels.line_sign for each edge pair) and its values in Fractions; the
-term list through kernels.eval_terms; the network through
-kernels.forward_layers on its cached integer rows, each unit scaled by
-an integer that ReLU commutes with, divided once at the output.
+the box, and nothing more.  The stage evaluators are exact.  Each takes a
+Point, converts it once to homogeneous form (X, Y, W)
+(geometry.homogeneous) and runs on integers from there: the instance
+through crossing-parity membership on the edges' integer lines and ends,
+each piece's witness converted once per instance; the decomposition
+through kernels.eval_blocks on its integer triples over one common
+denominator, each fan's sector found by geometry.sector_index and each
+edge pair's side by a line sign; the term list through
+kernels.eval_terms; the network through kernels.forward_layers on its
+cached integer rows, each unit scaled by an integer that ReLU commutes
+with.  Each builds one Fraction, at the end.  The piece-indicator
+identity (sides.indicator_identity_check) converts its point once for
+every cone, half-plane and membership test.
 
 Reports are plain data and fully reproducible: the same instance and seed
 always produce byte-identical JSON.

@@ -1,12 +1,14 @@
 """Vertex fans, edge pairs and the sum-form of an instance."""
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cpa2relu import corpus, model
+from cpa2relu import corpus, maxform, model
 from cpa2relu.decompose import (
     EdgePair, Fan, build_edge_function, build_vertex_function, decompose,
-    decomposition_to_json, eval_decomposition, eval_edge_pair, eval_fan,
+    Decomposition, decomposition_to_json, eval_decomposition, eval_fan,
     validate_fan,
 )
 from cpa2relu.errors import ContinuityError, InvalidInputError
@@ -107,11 +109,12 @@ def test_eval_edge_pair_takes_the_plus_side_on_the_boundary():
     # boundary x/2 - y/3 + 1/6 vanishes on y = 3x/2 + 1/2
     pair = EdgePair(aff(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6)),
                     aff(0, 0, 1), aff(0, 0, 2), 1)
+    dec = Decomposition((), (pair,), aff(0, 0, 0))
     for x in (pt(1, 2), pt(Fraction(-1, 3), 0), pt(-1, -1)):
         assert pair.boundary(x) == 0
-        assert eval_edge_pair(pair, x) == 1
-    assert eval_edge_pair(pair, pt(0, 0)) == 1
-    assert eval_edge_pair(pair, pt(0, 1)) == 2
+        assert eval_decomposition(dec, x) == 1
+    assert eval_decomposition(dec, pt(0, 0)) == 1
+    assert eval_decomposition(dec, pt(0, 1)) == 2
 
 
 def test_build_edge_function_rejects_rays(corpus_insts):
@@ -182,3 +185,130 @@ def test_decompose_probes_each_edge_twice(compiled, monkeypatch):
                         lambda *a: calls.append(a) or core(*a))
     decompose(fresh)
     assert len(calls) == 2 * len(fresh.edges)
+
+
+# ---------------------------------------------------------------------------
+# eval_decomposition against an independent Fraction re-statement
+
+def _diamond(dx: Fraction, dy: Fraction) -> Fraction:
+    """A pseudo-angle in [0, 4) that grows with the CCW angle from +x."""
+    if dy >= 0:
+        return dy / (dx + dy) if dx >= 0 else 1 - dx / (dy - dx)
+    return 2 - dy / (-dx - dy) if dx < 0 else 3 + dx / (dx - dy)
+
+
+def _blocks_reference(dec):
+    """The block sum at x, restated in plain Fractions.  A fan's sector is
+    the one of the last ray whose pseudo-angle from the first ray does
+    not pass that of x - center; the center takes sector 0.  A pair takes
+    its plus side where its boundary is >= 0."""
+    fans = []
+    for fan in dec.fans:
+        base = _diamond(fan.rays[0].dx, fan.rays[0].dy)
+        fans.append((fan, base, [(_diamond(d.dx, d.dy) - base) % 4
+                                 for d in fan.rays]))
+
+    def value(x) -> Fraction:
+        total = dec.tail(x)
+        for fan, base, turn in fans:
+            c, i = fan.center, 0
+            if x != c:
+                at = (_diamond(x.x - c.x, x.y - c.y) - base) % 4
+                i = max(j for j, t in enumerate(turn) if t <= at)
+            total += fan.sector_affines[i](x)
+        for pair in dec.edge_pairs:
+            side = (pair.plus_side_affine if pair.boundary(x) >= 0
+                    else pair.minus_side_affine)
+            total += pair.sign * side(x)
+        return total
+
+    return value
+
+
+def _special_points(dec):
+    """Fan centers, points on every ray, and points on every pair's
+    boundary line."""
+    third = Fraction(1, 3)
+    out = []
+    for fan in dec.fans:
+        c = fan.center
+        out.append(c)
+        out.extend(pt(c.x + third * d.dx, c.y + third * d.dy)
+                   for d in fan.rays)
+    for pair in dec.edge_pairs:
+        a, b, c = pair.boundary.a, pair.boundary.b, pair.boundary.c
+        t = Fraction(7, 3)
+        out.append(pt(t, -(a * t + c) / b) if b else pt(-c / a, t))
+    return out
+
+
+def test_decomposition_matches_block_reference_on_corpus(compiled):
+    for name, (_, slim, dec, _, _) in compiled.items():
+        ref = _blocks_reference(dec)
+        for x in sample_general_position(slim, 5, 20) + _special_points(dec):
+            assert eval_decomposition(dec, x) == ref(x), (name, x)
+
+
+@pytest.mark.parametrize("n_points", [10, 20, 40])
+def test_decomposition_matches_block_reference_on_random(n_points):
+    slim = model.sparsify(model.parse_instance(
+        corpus.random_instance(3, n_points=n_points)))
+    dec = decompose(slim)
+    ref = _blocks_reference(dec)
+    # every other special point keeps n_points=40 inside the time budget
+    for x in sample_general_position(slim, 9, 10) + _special_points(dec)[::2]:
+        assert eval_decomposition(dec, x) == ref(x), x
+
+
+rats = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+affines = st.builds(AffineFunc, rats, rats, rats)
+small_dirs = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda t: t != (0, 0))
+
+
+@st.composite
+def fans(draw):
+    """A fan with 2-5 distinct rays in CCW order from a random start,
+    arbitrary sector affines (the kernel does not ask for continuity)
+    and a rational center."""
+    raw = draw(st.lists(small_dirs, min_size=2, max_size=5))
+    rays = {}
+    for dx, dy in raw:
+        d = dr(dx, dy)
+        rays.setdefault(_diamond(d.dx, d.dy), d)
+    assume(len(rays) >= 2)
+    ordered = [rays[k] for k in sorted(rays)]
+    s = draw(st.integers(0, len(ordered) - 1))
+    ordered = ordered[s:] + ordered[:s]
+    return Fan(pt(draw(rats), draw(rats)), tuple(ordered),
+               tuple(draw(affines) for _ in ordered))
+
+
+edge_pairs = st.builds(
+    EdgePair, affines.filter(lambda g: g.a or g.b), affines, affines,
+    st.sampled_from([-1, 1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(fans(), max_size=3), st.lists(edge_pairs, max_size=3),
+       affines, st.lists(st.tuples(rats, rats), max_size=4))
+def test_random_blocks_match_block_reference(fs, ps, tail, coords):
+    dec = Decomposition(tuple(fs), tuple(ps), tail)
+    ref = _blocks_reference(dec)
+    for x in [pt(*c) for c in coords] + _special_points(dec):
+        assert eval_decomposition(dec, x) == ref(x), x
+
+
+def test_kernel_form_is_lazy_and_invisible(compiled):
+    _, slim, built, terms, _ = compiled["ring_bump"]
+    dec = decompose(slim)
+    maxform.reduce(dec, slim.p)
+    assert "kernel_form" not in vars(dec)
+    twin = decompose(slim)
+    before = json.dumps(decomposition_to_json(dec), sort_keys=True)
+    x = sample_general_position(slim, 1, 1)[0]
+    assert eval_decomposition(dec, x) == model.eval_cpa(slim, x)
+    assert "kernel_form" in vars(dec) and "kernel_form" not in vars(twin)
+    assert dec == twin == built
+    assert hash(dec) == hash(twin)
+    assert json.dumps(decomposition_to_json(dec), sort_keys=True) == before

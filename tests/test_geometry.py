@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from cpa2relu.geometry import (
     Direction, Line, Ray, Segment, ccw_sort_directions, cross, dot, dr,
-    edge_base, edge_direction, homogeneous, int_direction, int_offset,
+    edge_base, edge_direction, homogeneous, int_direction,
     orientation, pt, rat_from_json, rat_to_json, same_direction,
     sector_index, sub, translate,
 )
@@ -125,14 +125,6 @@ def test_homogeneous_round_trips(p):
     assert (Fraction(X, W), Fraction(Y, W)) == (p.x, p.y)
 
 
-@given(points, points)
-def test_int_offset_points_along_the_difference(p, q):
-    u = dr(*int_offset(p, q))
-    d = sub(p, q)
-    assert cross(d, u) == 0
-    assert (u.dx, u.dy) == (0, 0) if p == q else dot(d, u) > 0
-
-
 @given(st.lists(points, min_size=3, max_size=6), points, int_dirs)
 def test_closed_loop_crosses_line_evenly(loop, base, d):
     # each loop vertex moves by the same nudge in both of its segments,
@@ -140,7 +132,7 @@ def test_closed_loop_crosses_line_evenly(loop, base, d):
     # times, wherever the vertices lie
     lines = _recs([Line(base, d)])
     closed = loop + [loop[0]]
-    assert sum(_parity(lines, p, q) for p, q in zip(closed, closed[1:])) % 2 == 0
+    assert sum(_parity_at(lines, p, q) for p, q in zip(closed, closed[1:])) % 2 == 0
 
 
 SQUARE = [Segment(pt(0, 0), pt(2, 0)), Segment(pt(2, 0), pt(2, 2)),
@@ -154,25 +146,32 @@ def _recs(edges):
     return [EdgeRec(f"e{i}", g, ("P", "Q"), ()) for i, g in enumerate(edges)]
 
 
+def _parity_at(recs, x, w, nudge=GENERIC):
+    """_parity on the points' homogeneous forms, x's scaled by 3 so that
+    a form other than the one homogeneous builds is exercised too."""
+    X, Y, W = homogeneous(x)
+    return _parity(recs, (3 * X, 3 * Y, 3 * W), homogeneous(w), nudge)
+
+
 def test_parity_settles_paths_that_needed_detours():
     seg = _recs(SQUARE[:1])
     # both endpoints on the hull of a segment, or of a ray, off the edge
-    assert _parity(seg, pt(5, 0), pt(-3, 0)) == 0
-    assert _parity(_recs(QUADRANT[:1]), pt(-2, 0), pt(-5, 0)) == 0
+    assert _parity_at(seg, pt(5, 0), pt(-3, 0)) == 0
+    assert _parity_at(_recs(QUADRANT[:1]), pt(-2, 0), pt(-5, 0)) == 0
     # a path through a corner of the square: in, and past it outside
     square = _recs(SQUARE)
-    assert _parity(square, pt(-1, -1), pt(1, 1)) == 1
-    assert _parity(square, pt(-1, 1), pt(1, -1)) == 0
-    assert _parity(square, pt(3, 3), pt(1, 1)) == 1
+    assert _parity_at(square, pt(-1, -1), pt(1, 1)) == 1
+    assert _parity_at(square, pt(-1, 1), pt(1, -1)) == 0
+    assert _parity_at(square, pt(3, 3), pt(1, 1)) == 1
     # a path through the apex of two rays: into the quadrant, and past it
     quadrant = _recs(QUADRANT)
-    assert _parity(quadrant, pt(-1, -1), pt(1, 1)) == 1
-    assert _parity(quadrant, pt(-1, 1), pt(1, -1)) == 0
+    assert _parity_at(quadrant, pt(-1, -1), pt(1, 1)) == 1
+    assert _parity_at(quadrant, pt(-1, 1), pt(1, -1)) == 0
     # a path along a side of the square, through two corners
-    assert _parity(square, pt(-1, 0), pt(3, 0)) == 0
+    assert _parity_at(square, pt(-1, 0), pt(3, 0)) == 0
     # and along a line
     line = _recs([Line(pt(0, 1), dr(1, 0))])
-    assert _parity(line, pt(-4, 1), pt(7, 1)) == 0
+    assert _parity_at(line, pt(-4, 1), pt(7, 1)) == 0
 
 
 T = Fraction(1, 10**9)
@@ -220,7 +219,7 @@ nudges = st.one_of(st.just(GENERIC), st.tuples(small_dirs, small_dirs).filter(
 @given(st.lists(edges_st, max_size=6), grid, grid, nudges)
 def test_parity_matches_a_moved_fraction_count(edges, x, w, nudge):
     assume(x != w)
-    assert _parity(_recs(edges), x, w, nudge) == \
+    assert _parity_at(_recs(edges), x, w, nudge) == \
         _crossings_moved(edges, x, w, nudge) % 2
 
 
@@ -233,7 +232,8 @@ def test_edges_at_each_kind():
     }, {})
 
     def on(x, eid):
-        return edges_at(inst, x, [eid]) == [eid]
+        X, Y, W = homogeneous(x)
+        return edges_at(inst, (2 * X, 2 * Y, 2 * W), [eid]) == [eid]
 
     assert on(pt(1, 1), "seg")
     assert not on(pt(3, 3), "seg")  # past the endpoint

@@ -261,6 +261,17 @@ def test_validate_probes_each_edge_twice_and_one_witness(monkeypatch):
 # ---------------------------------------------------------------------------
 # evaluation
 
+def test_witness_forms_are_cached_outside_equality(corpus_docs):
+    doc = corpus_docs["ring_bump"]
+    used, fresh = model.parse_instance(doc), model.parse_instance(doc)
+    model.eval_cpa(used, pt(Fraction(1, 3), Fraction(-2, 7)))
+    for pid, piece in used.pieces.items():
+        assert "int_witness" in vars(piece)
+        assert "int_witness" not in vars(fresh.pieces[pid])
+        assert piece == fresh.pieces[pid]
+        assert hash(piece) == hash(fresh.pieces[pid])
+
+
 def test_eval_on_edge_uses_shared_value(corpus_insts):
     ring = corpus_insts["ring_bump"]
     # on the radial between the outer-left and outer-right pieces
