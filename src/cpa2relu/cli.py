@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("--net", help="compiled network file (default: "
                                  "compile in-process)")
-    c.add_argument("--samples", type=_nonneg, default=1000)
+    c.add_argument("--samples", type=_positive, default=1000)
     c.add_argument("--seed", type=_nonneg, default=0)
     c.add_argument("--lemmas", action="store_true",
                    help="also check the per-piece indicator identity")

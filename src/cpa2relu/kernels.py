@@ -3,22 +3,23 @@
 Points travel as homogeneous (X, Y, W): the point (X/W, Y/W) with W > 0
 (geometry.homogeneous), so A*X + B*Y + C*W is W times the value of
 A*x + B*y + C there.  Working on plain ints skips the Fraction object and
-the gcd that each Fraction operation pays.  eval_terms carries
-(numerator, denominator) pairs and reduces once per accumulated value.
-forward_layers needs no denominators at all: each network unit carries a
-fixed integer scale, folded into its row's integer weights once per
-network, so a forward pass is integer multiply-adds and one division at
-the end.  ReLU commutes with a positive scale (max(e*z, 0) = e*max(z, 0)
-for e > 0), so it is applied to the scaled ints directly.  eval_blocks
-needs one denominator only: every affine of a decomposition is stored as
-an integer triple over the decomposition's common denominator L, so a
-sample's value is the sum of the triples its blocks select, applied
-once to (X, Y, W) and divided by L*W.  All arithmetic is exact.
-decompose.eval_decomposition, TermList.__call__, network.eval_network
-and the crossing-parity membership in model run on these kernels.
+the gcd that each Fraction operation pays.  eval_blocks and eval_terms
+need one denominator only: every affine of a decomposition, and of a
+term list, is stored as an integer triple over its common denominator
+L, so each value it takes at a sample is an int over L*W with L*W > 0.
+eval_blocks sums the triples its blocks select and applies the sum once;
+eval_terms compares the numerators of each term's maxes directly and
+sums them.  forward_layers needs no denominators at all: each network
+unit carries a fixed integer scale, folded into its row's integer
+weights once per network, so a forward pass is integer multiply-adds and
+one division at the end.  ReLU commutes with a positive scale
+(max(e*z, 0) = e*max(z, 0) for e > 0), so it is applied to the scaled
+ints directly, and a row stored as the negation of the row before it is
+folded into that row: z is computed once, relu(z) and relu(-z) written.
+All arithmetic is exact.  decompose.eval_decomposition,
+TermList.__call__, network.eval_network and the crossing-parity
+membership in model run on these kernels.
 """
-from math import gcd
-
 from .geometry import sector_index
 
 
@@ -62,59 +63,73 @@ def eval_blocks(fans, pairs, tail, X, Y, W):
     return a * X + b * Y + c * W
 
 
-def eval_terms(terms, X, Y, W):
-    """Exact value of a sum of nested-max terms at the point (X/W, Y/W).
+def eval_terms(L, terms, X, Y, W):
+    """Exact value of a sum of nested-max terms at the point (X/W, Y/W),
+    W > 0, as a pair (N, L*W) whose quotient is the value.
 
     Each term is a flat int tuple
-        (s1, s2, A1, B1, C1, D1, A2, B2, C2, D2, A3, B3, C3, D3)
-    encoding s1 * max(f1, s2 * max(f2, f3)) with fi = (Ai*x + Bi*y + Ci)/Di
-    and Di > 0.  Returns a reduced rational pair.
+        (s1, s2, a1, b1, c1, a2, b2, c2, a3, b3, c3)
+    encoding s1 * max(f1, s2 * max(f2, f3)) with fi = (ai*x + bi*y + ci)/L,
+    one common denominator L > 0 for all terms.  ni = ai*X + bi*Y + ci*W
+    is L*W*fi and L*W > 0, so the maxes compare the ni directly and the
+    terms sum on ints.
     """
-    acc_n, acc_d = 0, 1
-    for (s1, s2, A1, B1, C1, D1, A2, B2, C2, D2, A3, B3, C3, D3) in terms:
-        N1 = A1 * X + B1 * Y + C1 * W
-        N2 = A2 * X + B2 * Y + C2 * W
-        N3 = A3 * X + B3 * Y + C3 * W
-        # max(f2, f3), exact comparison via cross multiplication
-        if N2 * D3 >= N3 * D2:
-            Nm, Dm = N2, D2
-        else:
-            Nm, Dm = N3, D3
-        # s2 * max(f2, f3) versus f1
-        if N1 * Dm >= s2 * Nm * D1:
-            Nt, Dt = N1, D1
-        else:
-            Nt, Dt = s2 * Nm, Dm
-        tn, td = s1 * Nt, Dt * W
-        acc_n = acc_n * td + tn * acc_d
-        acc_d = acc_d * td
-        g = gcd(abs(acc_n), acc_d)
-        if g > 1:
-            acc_n //= g
-            acc_d //= g
-    return acc_n, acc_d
+    acc = 0
+    for s1, s2, a1, b1, c1, a2, b2, c2, a3, b3, c3 in terms:
+        m = a2 * X + b2 * Y + c2 * W
+        n3 = a3 * X + b3 * Y + c3 * W
+        if n3 > m:
+            m = n3
+        if s2 < 0:
+            m = -m
+        n1 = a1 * X + b1 * Y + c1 * W
+        if n1 > m:
+            m = n1
+        acc += m if s1 > 0 else -m
+    return acc, L * W
 
 
-def forward_layers(layers, scale, X, Y, W):
-    """Exact forward pass of integer layers with ReLU between them.
+def forward_layers(first, second, out, scale, X, Y, W):
+    """Exact output of an integer 2 -> n1 -> n2 -> 1 ReLU network at
+    (X/W, Y/W), W > 0, as a pair (A, scale*W) whose quotient is the
+    output; scale is the output unit's e.
 
-    layers is a list of layers, each a list of rows (pairs, B) where
-    pairs is a tuple of (col, W) int pairs; the last layer has one row.
     Each unit c has an integer scale e_c > 0 (see network._kernel_form),
     and the pass carries A_c = e_c * W * a_c in place of the unit's exact
-    value a_c.  So x and y (scale 1) enter as X and Y, and a row
-    computes A_q = B*W + sum w*A_c over its (col, w) pairs.  ReLU is
-    max(A_q, 0), exact because e_q*W > 0.  scale is the output unit's
-    e; returns (A, scale*W), whose quotient is the output.
+    value a_c, so x and y (scale 1) enter as X and Y.  ReLU is
+    max(A_c, 0), exact because e_c*W > 0.  first and second are the
+    hidden layers as (n, rows): n units, all 0 until a row writes a
+    positive value.  A row is (q, paired, a, b, c) in first, with
+    z = a*X + b*Y + c*W, and (q, paired, pairs, B) in second, with
+    z = B*W + sum w*A_c over its (col, w) pairs.  It writes relu(z) to
+    unit q and, when paired, relu(-z) to unit q + 1.  A unit that is 0
+    after ReLU adds nothing to the next layer.  out is the output row
+    (pairs, B), without ReLU.
     """
-    vals = (X, Y)
-    last = len(layers) - 1
-    for li, rows in enumerate(layers):
-        out = []
-        for pairs, z in rows:
-            z *= W
-            for c, w in pairs:
-                z += w * vals[c]
-            out.append(z if z > 0 or li == last else 0)
-        vals = out
-    return vals[0], scale * W
+    n, rows = first
+    vals = [0] * n
+    for q, paired, a, b, c in rows:
+        z = a * X + b * Y + c * W
+        if z > 0:
+            vals[q] = z
+        elif paired and z:
+            vals[q + 1] = -z
+    n, rows = second
+    prev, vals = vals, [0] * n
+    for q, paired, pairs, z in rows:
+        z *= W
+        for c, w in pairs:
+            v = prev[c]
+            if v:
+                z += w * v
+        if z > 0:
+            vals[q] = z
+        elif paired and z:
+            vals[q + 1] = -z
+    pairs, z = out
+    z *= W
+    for c, w in pairs:
+        v = vals[c]
+        if v:
+            z += w * v
+    return z, scale * W

@@ -7,6 +7,14 @@ sectors are left, and each three-sector fan is written as
 sigma1 * max(f1, sigma2 * max(f2, f3)).  Four-sector fans whose rays form
 two crossing lines admit no such pair and are split into two two-piece
 functions instead.  Edge pairs become plain max/min of their two affines.
+
+A TermList evaluates on integers: on first evaluation it builds its
+kernel_form, every affine of every term as an integer triple over one
+common denominator L, and kernels.eval_terms compares and sums the
+numerators at the sample's (X, Y, W); the only Fraction is the quotient
+N/(L*W).  Each MaxTerm converts its affines once (int_form), so a list
+that shares terms with an evaluated one, such as a seeded mutation, only
+rescales them.  reduce() builds neither form.
 """
 from __future__ import annotations
 
@@ -14,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from math import lcm
 
 from . import kernels
 from .errors import ContinuityError, MalformedFanError
@@ -35,6 +44,14 @@ class MaxTerm:
     sigma2: int
     f2: AffineFunc
     f3: AffineFunc
+
+    @cached_property
+    def int_form(self) -> tuple[int, ...]:
+        """(sigma1, sigma2, A1, B1, C1, D1, A2, .., D3): the signs and the
+        int_form (A, B, C, D) of f1, f2 and f3, built once per term.  Not a
+        field, so equality, hashing and the JSON dump never see it."""
+        return (self.sigma1, self.sigma2, *self.f1.int_form(),
+                *self.f2.int_form(), *self.f3.int_form())
 
     def __call__(self, x: Point) -> Rat:
         inner = max(self.f2(x), self.f3(x))
@@ -75,14 +92,24 @@ class TermList:
     source_p: int
 
     @cached_property
-    def kernel_terms(self) -> list[tuple]:
-        """Flat integer encoding of the terms for kernels.eval_terms."""
-        return [(t.sigma1, t.sigma2,
-                 *t.f1.int_form(), *t.f2.int_form(), *t.f3.int_form())
-                for t in self.terms]
+    def kernel_form(self) -> tuple[int, tuple]:
+        """(L, terms) for kernels.eval_terms, built on first evaluation:
+        every affine of every term as an integer triple over the common
+        denominator L, the lcm of their int_form denominators.  Each term
+        converts once (MaxTerm.int_form), so a list that shares terms
+        with one already evaluated only rescales them.  Not a field, so
+        equality, hashing and the JSON dump never see it."""
+        forms = [t.int_form for t in self.terms]
+        L = lcm(*{D for f in forms for D in f[5::4]})
+        terms = []
+        for s1, s2, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 in forms:
+            k1, k2, k3 = L // d1, L // d2, L // d3
+            terms.append((s1, s2, a1 * k1, b1 * k1, c1 * k1,
+                          a2 * k2, b2 * k2, c2 * k2, a3 * k3, b3 * k3, c3 * k3))
+        return L, tuple(terms)
 
     def __call__(self, x: Point) -> Rat:
-        n, d = kernels.eval_terms(self.kernel_terms, *homogeneous(x))
+        n, d = kernels.eval_terms(*self.kernel_form, *homogeneous(x))
         return Fraction(n, d)
 
     def to_json(self) -> dict:

@@ -94,16 +94,14 @@ class AffineFunc:
         return self.a == 0 and self.b == 0 and self.c == 0
 
     def int_form(self) -> tuple[int, int, int, int]:
-        """(A, B, C, D) with f = (A*x + B*y + C)/D and D > 0."""
-        den = (self.a.denominator * self.b.denominator * self.c.denominator)
-        lcm = den
-        A = self.a.numerator * (lcm // self.a.denominator)
-        B = self.b.numerator * (lcm // self.b.denominator)
-        C = self.c.numerator * (lcm // self.c.denominator)
-        g = math.gcd(math.gcd(abs(A), abs(B)), math.gcd(abs(C), lcm))
-        if g > 1:
-            A, B, C, lcm = A // g, B // g, C // g, lcm // g
-        return (A, B, C, lcm)
+        """(A, B, C, D) with f = (A*x + B*y + C)/D, D > 0 the lcm of the
+        coefficients' denominators: the one such form with
+        gcd(A, B, C, D) = 1."""
+        (an, ad), (bn, bd), (cn, cd) = (self.a.as_integer_ratio(),
+                                        self.b.as_integer_ratio(),
+                                        self.c.as_integer_ratio())
+        D = math.lcm(ad, bd, cd)
+        return (an * (D // ad), bn * (D // bd), cn * (D // cd), D)
 
     def to_json(self) -> list:
         return [rat_to_json(self.a), rat_to_json(self.b), rat_to_json(self.c)]

@@ -12,12 +12,19 @@ first-layer neurons and three second-layer neurons:
 Blocks are disjoint: term n owns rows 5n..5n+4 and 3n..3n+2, so the whole
 network has O(1) nonzero parameters per term.  Weights stay rational end to
 end in the layers, the exports and the imports.  For exact evaluation each
-network caches an integer form of its layers (_kernel_form): every unit
-gets an integer scale, the lcm of the denominators its row needs, and
-every row stores its weights and bias multiplied by it.  ReLU commutes
-with a positive scale, so kernels.forward_layers runs the whole pass on
-ints and eval_network divides once at the end.  A float64 evaluation path
-exists for sanity checks only.
+network caches an integer form of its layers (_kernel_form), built on its
+first exact evaluation: every unit gets an integer scale, the lcm of the
+denominators its row needs, and every row stores its weights and bias
+multiplied by it.  ReLU commutes with a positive scale, so
+kernels.forward_layers runs the whole pass on ints and eval_network
+divides once at the end.  Three of every eight hidden rows above are the
+negation of the row before them (-f1, -f3, -s): a row whose stored ints
+are the exact negation of its predecessor's is folded into it, so the
+pass computes z once and writes relu(z) and relu(-z).  The fold reads
+the ints alone, so it holds for any network, built, imported or mutated.
+Layer 1 is stored as dense (a, b, c) triples, later layers as sparse
+(col, weight) rows, and rows with no weights and a zero bias are left
+out.  A float64 evaluation path exists for sanity checks only.
 """
 from __future__ import annotations
 
@@ -130,34 +137,86 @@ def build_network(terms: TermList) -> ReluNetwork:
     ))
 
 
-def _kernel_form(net: ReluNetwork):
-    """Integer rows of every layer and the output unit's scale.
+def _int_parts(layer: AffineLayer, scales) -> tuple[list, list, list]:
+    """(flat, bias, es) for a layer whose input unit c has integer scale
+    s_c (1 for x and y).
 
-    Unit c carries an integer scale s_c (1 for x and y).  Row q gets
-    e_q = lcm(den b_q, den w_qc * s_c over its weights) and stores
-    W_qc = w_qc * e_q / s_c and B_q = b_q * e_q, both ints; e_q becomes
-    the scale of unit q.  Built on numerators and denominators only.
+    Row q gets e_q = lcm(den b_q, den w_qc * s_c over its weights) and
+    stores W_qc = w_qc * e_q / s_c and B_q = b_q * e_q, both ints; e_q
+    becomes the scale of unit q.  flat holds (r, c, n, d) per weight,
+    w_rc * s_c = n/d, and bias (n, d) per row, so W_rc = n * (e_r // d)
+    and likewise B_r.  Built on numerators and denominators only.
     """
-    scales = (1, 1)
-    layers = []
-    for layer in net.layers:
-        bias = [b.as_integer_ratio() for b in layer.bias]
-        es = [bd for _, bd in bias]
-        flat = []
-        for (r, c), w in layer.weights.items():
-            n, d = w.as_integer_ratio()
-            d *= scales[c]
-            e = es[r]
-            if e % d:
-                es[r] = lcm(e, d)
-            flat.append((r, c, n, d))
-        pairs = [[] for _ in es]
-        for r, c, n, d in flat:
-            pairs[r].append((c, n * (es[r] // d)))
-        layers.append([(tuple(p), bn * (e // bd))
-                       for p, (bn, bd), e in zip(pairs, bias, es)])
-        scales = es
-    return layers, scales[0]
+    bias = [b.as_integer_ratio() for b in layer.bias]
+    es = [bd for _, bd in bias]
+    flat = []
+    for (r, c), w in layer.weights.items():
+        n, d = w.as_integer_ratio()
+        d *= scales[c]
+        e = es[r]
+        if e % d:
+            es[r] = lcm(e, d)
+        flat.append((r, c, n, d))
+    return flat, bias, es
+
+
+def _first_rows(layer: AffineLayer) -> tuple[tuple, list]:
+    """Layer 1 as (q, paired, a, b, c) rows over (X, Y, W), and its
+    unit scales.  A row that is the exact negation of the row before it,
+    itself not folded, is folded into that row (paired: the row computes
+    z once for both units), and a zero row is left out (its unit is 0
+    after ReLU)."""
+    flat, bias, es = _int_parts(layer, (1, 1))
+    rows = [[0, 0, bn * (e // bd)] for (bn, bd), e in zip(bias, es)]
+    for r, c, n, d in flat:
+        rows[r][c] = n * (es[r] // d)
+    out = []
+    hq = -2
+    for q, (a, b, c) in enumerate(rows):
+        if hq == q - 1 and c == -hc and a == -ha and b == -hb:
+            out[-1] = (hq, True) + out[-1][2:]
+            hq = -2
+        elif a or b or c:
+            out.append((q, False, a, b, c))
+            hq, ha, hb, hc = q, a, b, c
+    return tuple(out), es
+
+
+def _sparse_rows(layer: AffineLayer, scales) -> tuple[tuple, list]:
+    """A later layer as (q, paired, pairs, B) rows, pairs the row's
+    (col, W) ints, folded as in _first_rows; and its unit scales."""
+    flat, bias, es = _int_parts(layer, scales)
+    rows = [[] for _ in es]
+    for r, c, n, d in flat:
+        rows[r].append((c, n * (es[r] // d)))
+    out = []
+    hq = -2
+    for q, (p, (bn, bd), e) in enumerate(zip(rows, bias, es)):
+        b = bn * (e // bd)
+        if (hq == q - 1 and b == -hb and len(p) == len(hp)
+                and p == [(c, -w) for c, w in hp]):
+            out[-1] = (hq, True) + out[-1][2:]
+            hq = -2
+        elif p or b:
+            out.append((q, False, tuple(p), b))
+            hq, hp, hb = q, p, b
+    return tuple(out), es
+
+
+def _kernel_form(net: ReluNetwork):
+    """(first, second, out, scale) for kernels.forward_layers.
+
+    Each ReLU pair relu(z), relu(-z) of the construction is computed
+    once: the fold looks at the stored ints alone, so it is exact for
+    any network, built, imported or mutated, and a pair that a mutation
+    breaks is simply not folded.
+    """
+    l1, l2, l3 = net.layers
+    first, scales = _first_rows(l1)
+    second, scales = _sparse_rows(l2, scales)
+    flat, ((bn, bd),), (e,) = _int_parts(l3, scales)
+    out = tuple((c, n * (e // d)) for _, c, n, d in flat)
+    return (l1.rows, first), (l2.rows, second), (out, bn * (e // bd)), e
 
 
 def _float_form(net: ReluNetwork):

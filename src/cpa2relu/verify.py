@@ -15,9 +15,11 @@ each piece's witness converted once per instance; the decomposition
 through kernels.eval_blocks on its integer triples over one common
 denominator, each fan's sector found by geometry.sector_index and each
 edge pair's side by a line sign; the term list through
-kernels.eval_terms; the network through kernels.forward_layers on its
+kernels.eval_terms on its integer triples over one common denominator,
+comparing numerators; the network through kernels.forward_layers on its
 cached integer rows, each unit scaled by an integer that ReLU commutes
-with.  Each builds one Fraction, at the end.  The piece-indicator
+with and each ReLU pair relu(z), relu(-z) computed from one z.  Each
+builds one Fraction, at the end.  The piece-indicator
 identity (sides.indicator_identity_check) converts its point once for
 every cone, half-plane and membership test.
 

@@ -197,6 +197,14 @@ def test_bad_arguments_are_usage_errors(corpus_dir, capsys):
     capsys.readouterr()
 
 
+def test_verify_of_no_samples_is_a_usage_error(corpus_dir, capsys):
+    """Zero samples certify nothing: a usage error, not a failed check."""
+    rc = cli.run(["verify", str(corpus_dir / "hat.json"), "--samples", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--samples" in captured.err and "certified" not in captured.out
+
+
 def test_bad_rationals_are_usage_errors(tmp_path, corpus_dir, capsys):
     hat = str(corpus_dir / "hat.json")
     net = str(tmp_path / "net.json")

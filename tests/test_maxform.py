@@ -4,12 +4,14 @@ The frozen expectations were derived by hand and cross-checked
 by exact evaluation; they double as regression pins for the sign
 conventions.
 """
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cpa2relu import model
+from cpa2relu import model, network
 from cpa2relu.decompose import Decomposition, EdgePair, Fan, eval_fan
 from cpa2relu.errors import ContinuityError
 from cpa2relu.geometry import ccw_sort_directions, cross, dr, pt, same_direction
@@ -316,3 +318,31 @@ def test_term_list_matches_max_terms(ts, x):
     """Rational coefficients survive the integer encoding."""
     assert TermList(tuple(ts), 1)(x) == sum(t(x) for t in ts)
 
+
+
+def test_term_forms_are_lazy_and_invisible(compiled):
+    """reduce and build_network build no integer form; once a sample
+    builds them, equality, hashing and the JSON bytes are unchanged, and
+    a term rebuilt by dataclasses.replace (as a seeded mutation does)
+    does not inherit the form of the term it came from."""
+    _, slim, dec, built, _ = compiled["ring_bump"]
+    terms = reduce(dec, slim.p)
+    net = network.build_network(terms)
+    assert "kernel_form" not in vars(terms)
+    assert not any("int_form" in vars(t) for t in terms.terms)
+    assert not net._cache
+    twin = reduce(dec, slim.p)
+    before = json.dumps(terms.to_json(), sort_keys=True)
+    x = sample_general_position(slim, 1, 1)[0]
+    assert terms(x) == model.eval_cpa(slim, x) == network.eval_network(net, x)
+    assert "kernel_form" in vars(terms)
+    assert all("int_form" in vars(t) for t in terms.terms)
+    assert "kernel_form" not in vars(twin)
+    assert terms == twin == built
+    assert hash(terms) == hash(twin)
+    assert json.dumps(terms.to_json(), sort_keys=True) == before
+    t0 = terms.terms[0]
+    flipped = replace(t0, sigma2=-t0.sigma2)
+    assert "int_form" not in vars(flipped)
+    mutated = TermList((flipped,) + terms.terms[1:], terms.source_p)
+    assert mutated(x) == flipped(x) + sum(t(x) for t in terms.terms[1:])
