@@ -43,6 +43,8 @@ EXACT = "exact"
 FLOAT64 = "float64"
 
 _ZERO = Fraction(0)
+# the +-1 weights of layers 2 and 3, shared: a Fraction is immutable
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,10 @@ def build_network(terms: TermList) -> ReluNetwork:
         for j, row in enumerate(rows):
             for k, v in enumerate(row):
                 if v:
-                    w2[q0 + j, r0 + k] = Fraction(v)
-        s1 = Fraction(t.sigma1)
-        w3[0, q0] = s1
-        w3[0, q0 + 1] = s1
-        w3[0, q0 + 2] = -s1
+                    w2[q0 + j, r0 + k] = _UNIT[v]
+        s1 = t.sigma1
+        w3[0, q0] = w3[0, q0 + 1] = _UNIT[s1]
+        w3[0, q0 + 2] = _UNIT[-s1]
     return ReluNetwork((
         AffineLayer(5 * n, 2, w1, tuple(b1)),
         AffineLayer(3 * n, 5 * n, w2, (_ZERO,) * (3 * n)),
