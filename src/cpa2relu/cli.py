@@ -120,11 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path: str, doc) -> None:
@@ -134,7 +135,7 @@ def _write_json(path: str, doc) -> None:
 
 
 def _load_instance(path: str):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return parse_instance(fh.read())
 
 
@@ -177,15 +178,16 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 
 def _compile(path: str):
+    """The instance, its sparsified form, decomposition and term list."""
     inst = _validated(path)
     slim = sparsify(inst, skip_validation=True)
     dec = decompose(slim)
-    terms = reduce_terms(dec, slim.p)
-    return inst, slim, dec, terms, build_network(terms)
+    return inst, slim, dec, reduce_terms(dec, slim.p)
 
 
 def _cmd_compile(ns: argparse.Namespace) -> int:
-    _, slim, _, terms, net = _compile(ns.input)
+    *_, terms = _compile(ns.input)
+    net = build_network(terms)
     _write_json(ns.output,
                 export_network(net, include_float=ns.float_mirror))
     s1, s2 = net.widths
@@ -203,9 +205,11 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    inst, slim, dec, terms, net = _compile(ns.input)
+    inst, slim, dec, terms = _compile(ns.input)
     if ns.net:
         net = import_network(_read_json(ns.net))
+    else:
+        net = build_network(terms)
     report = verify_equivalence(slim, dec, terms, net,
                                 n=ns.samples, seed=ns.seed)
     print(report.summary())

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import RetriesExhaustedError
+from .geometry import rat_to_json, sign
 from .model import parse_instance, serialize_instance, validate
 
 DEFAULT_RANDOM_SEED = 7
@@ -326,12 +327,8 @@ BUILDERS = {
 # ---------------------------------------------------------------------------
 # Random bounded triangulations (Delaunay via incremental insert + flips)
 
-def _sgn(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def _orient(a, b, c) -> int:
-    return _sgn((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+    return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
 def _incircle(a, b, c, d) -> int:
@@ -341,7 +338,7 @@ def _incircle(a, b, c, d) -> int:
         dx, dy = p[0] - d[0], p[1] - d[1]
         rows.append((dx, dy, dx * dx + dy * dy))
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
-    return _sgn(a1 * (b2 * c3 - b3 * c2)
+    return sign(a1 * (b2 * c3 - b3 * c2)
                 - a2 * (b1 * c3 - b3 * c1)
                 + a3 * (b1 * c2 - b2 * c1))
 
@@ -408,10 +405,6 @@ def _plane_through(p1, z1, p2, z2, p3, z3):
     c = (x1 * (y2 * z3 - y3 * z2) - y1 * (x2 * z3 - x3 * z2)
          + z1 * (x2 * y3 - x3 * y2)) / det
     return a, b, c
-
-
-def _rat_json(r: Fraction):
-    return int(r) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
 _WITNESS_WEIGHTS = ((4, 3, 2), (3, 4, 2), (2, 3, 4), (5, 2, 1), (1, 5, 2),
@@ -528,8 +521,8 @@ def _random_attempt(rng: random.Random, n_points: int):
             return None
         cyc = [eid[tuple(sorted((tri[i], tri[(i + 1) % 3])))] for i in range(3)]
         doc["pieces"][f"t{ti}"] = {
-            "affine": [_rat_json(pa), _rat_json(pb), _rat_json(pc)],
-            "witness": [_rat_json(witness[0]), _rat_json(witness[1])],
+            "affine": [rat_to_json(pa), rat_to_json(pb), rat_to_json(pc)],
+            "witness": [rat_to_json(witness[0]), rat_to_json(witness[1])],
             "boundary": [{"kind": "cycle", "edges": cyc}],
         }
 
@@ -547,7 +540,7 @@ def _random_attempt(rng: random.Random, n_points: int):
                   for i in range(len(hull))]
     doc["pieces"]["out"] = {
         "affine": [ga, gb, gc],
-        "witness": [_rat_json(out_w[0]), _rat_json(out_w[1])],
+        "witness": [rat_to_json(out_w[0]), rat_to_json(out_w[1])],
         "boundary": [{"kind": "cycle", "edges": hull_cycle}],
     }
     return doc

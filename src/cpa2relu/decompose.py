@@ -11,10 +11,10 @@ block of their own; their contribution is absorbed by the vertex fans.
 
 eval_decomposition runs on integers: on first evaluation a Decomposition
 builds its kernel_form, every affine as an integer triple over one
-common denominator L, and kernels.eval_blocks selects each block's
-triple at the sample's homogeneous (X, Y, W), sums them and applies the
-sum once; the only Fraction is the quotient N/(L*W).  decompose() does
-not build that form, so compiling never pays for it.
+common denominator L, and eval_blocks selects each block's triple at the
+sample's homogeneous (X, Y, W), sums them and applies the sum once; the
+only Fraction is the quotient N/(L*W).  decompose() does not build that
+form, so compiling never pays for it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from . import kernels
 from .errors import ContinuityError, InvalidInputError
 from .geometry import (
     Direction,
@@ -34,6 +33,7 @@ from .geometry import (
     homogeneous,
     int_direction,
     rat_to_json,
+    sector_index,
     translate,
 )
 from .model import AffineFunc, CPAInstance, edge_sides, vertex_star
@@ -99,12 +99,15 @@ class Decomposition:
 
     @cached_property
     def kernel_form(self) -> tuple[int, tuple, tuple, tuple[int, int, int]]:
-        """(L, fans, pairs, tail) for kernels.eval_blocks, built on first
-        evaluation: every affine as an integer triple over the common
-        denominator L, each fan's centre in homogeneous form beside its
-        int_rays, each pair's boundary as integers (A, B, C) with its
-        sign folded into its two triples.  Not a field, so equality,
-        hashing and the JSON dump never see it."""
+        """(L, fans, pairs, tail) for eval_blocks, built on first
+        evaluation.  Every affine is an integer triple (a, b, c) over the
+        common denominator L, standing for (a*x + b*y + c)/L.  fans holds
+        (cX, cY, cW, rays, sectors) per fan: its centre in homogeneous
+        form, its int_rays in strict CCW order and one triple per
+        sector.  pairs holds (A, B, C, plus, minus) per edge pair: its
+        boundary as integers and the triple on each side, the pair's
+        sign folded into both.  tail is one triple.  Not a field, so
+        equality, hashing and the JSON dump never see it."""
         affines = [self.tail]
         for f in self.fans:
             affines.extend(f.sector_affines)
@@ -199,12 +202,37 @@ def decompose(inst: CPAInstance) -> Decomposition:
     return Decomposition(fans, pairs, tail)
 
 
+def eval_blocks(fans, pairs, tail, X, Y, W):
+    """W*L times the value of a decomposition at the point (X/W, Y/W),
+    W > 0, from the parts of its kernel_form (see there).
+
+    The offset (X*cW - cX*W, Y*cW - cY*W) is a positive multiple of
+    x - centre, so sector_index finds its sector: a point on ray i takes
+    sector i, and the centre takes sector 0.  A point with
+    A*X + B*Y + C*W >= 0 takes a pair's plus triple, the line included.
+    The selected triples are summed, then applied once.
+    """
+    a, b, c = tail
+    for cX, cY, cW, rays, sectors in fans:
+        u = (X * cW - cX * W, Y * cW - cY * W)
+        sa, sb, sc = sectors[sector_index(rays, u)[0] if u != (0, 0) else 0]
+        a += sa
+        b += sb
+        c += sc
+    for A, B, C, plus, minus in pairs:
+        sa, sb, sc = plus if A * X + B * Y + C * W >= 0 else minus
+        a += sa
+        b += sb
+        c += sc
+    return a * X + b * Y + c * W
+
+
 def eval_decomposition(dec: Decomposition, x: Point) -> Rat:
     """Exact value of the decomposition at x: x is converted to (X, Y, W)
-    once, and kernels.eval_blocks picks and sums every block's triple."""
+    once, and eval_blocks picks and sums every block's triple."""
     X, Y, W = homogeneous(x)
     L, fans, pairs, tail = dec.kernel_form
-    return Fraction(kernels.eval_blocks(fans, pairs, tail, X, Y, W), L * W)
+    return Fraction(eval_blocks(fans, pairs, tail, X, Y, W), L * W)
 
 
 def eval_fan(fan: Fan, x: Point) -> Rat:

@@ -4,7 +4,7 @@ Coordinates are fractions.Fraction; no floats, no epsilons.  The exact
 predicates run on one integer form: a point as homogeneous (X, Y, W),
 p = (X/W, Y/W) with W > 0, and an edge's hull as its gcd-reduced line
 (A, B, C) (int_line); the sign of A*X + B*Y + C*W is the side of the
-line the point lies on (kernels.line_sign).  model.EdgeRec builds both
+line the point lies on (line_sign).  model.EdgeRec builds both
 forms once per edge, and they decide model.edges_at, model._parity
 (degenerate positions resolved by symbolic perturbation) and
 validate's edge-pair check.  The one angular predicate, ccw_angle_cmp,
@@ -243,6 +243,16 @@ def homogeneous(p: Point) -> tuple[int, int, int]:
     xn, xd, yn, yd = (p.x.numerator, p.x.denominator,
                       p.y.numerator, p.y.denominator)
     return (xn * yd, yn * xd, xd * yd)
+
+
+def line_sign(A, B, C, X, Y, W):
+    """Sign of A*x + B*y + C at the point (X/W, Y/W), W > 0."""
+    v = A * X + B * Y + C * W
+    if v > 0:
+        return 1
+    if v < 0:
+        return -1
+    return 0
 
 
 def from_homogeneous(h: tuple[int, int, int]) -> Point:

@@ -10,11 +10,11 @@ functions instead.  Edge pairs become plain max/min of their two affines.
 
 A TermList evaluates on integers: on first evaluation it builds its
 kernel_form, every affine of every term as an integer triple over one
-common denominator L, and kernels.eval_terms compares and sums the
-numerators at the sample's (X, Y, W); the only Fraction is the quotient
-N/(L*W).  Each MaxTerm converts its affines once (int_form), so a list
-that shares terms with an evaluated one, such as a seeded mutation, only
-rescales them.  reduce() builds neither form.
+common denominator L, and eval_terms compares and sums the numerators
+at the sample's (X, Y, W); the only Fraction is the quotient N/(L*W).
+Each MaxTerm converts its affines once (int_form), so a list that shares
+terms with an evaluated one, such as a seeded mutation, only rescales
+them.  reduce() builds neither form.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import lcm
 
-from . import kernels
 from .errors import ContinuityError, MalformedFanError
 from .decompose import Decomposition, EdgePair, Fan, validate_fan
 from .geometry import (X_AXIS, Direction, Point, Rat, ccw_angle_cmp, cross,
@@ -93,12 +92,15 @@ class TermList:
 
     @cached_property
     def kernel_form(self) -> tuple[int, tuple]:
-        """(L, terms) for kernels.eval_terms, built on first evaluation:
-        every affine of every term as an integer triple over the common
-        denominator L, the lcm of their int_form denominators.  Each term
-        converts once (MaxTerm.int_form), so a list that shares terms
-        with one already evaluated only rescales them.  Not a field, so
-        equality, hashing and the JSON dump never see it."""
+        """(L, terms) for eval_terms, built on first evaluation.  Each
+        term is a flat int tuple
+            (s1, s2, a1, b1, c1, a2, b2, c2, a3, b3, c3)
+        encoding s1 * max(f1, s2 * max(f2, f3)) with
+        fi = (ai*x + bi*y + ci)/L, and L > 0 is the lcm of the terms'
+        int_form denominators.  Each term converts once
+        (MaxTerm.int_form), so a list that shares terms with one already
+        evaluated only rescales them.  Not a field, so equality, hashing
+        and the JSON dump never see it."""
         forms = [t.int_form for t in self.terms]
         L = lcm(*{D for f in forms for D in f[5::4]})
         terms = []
@@ -109,7 +111,7 @@ class TermList:
         return L, tuple(terms)
 
     def __call__(self, x: Point) -> Rat:
-        n, d = kernels.eval_terms(*self.kernel_form, *homogeneous(x))
+        n, d = eval_terms(*self.kernel_form, *homogeneous(x))
         return Fraction(n, d)
 
     def to_json(self) -> dict:
@@ -120,6 +122,28 @@ class TermList:
     def from_json(cls, doc) -> "TermList":
         return cls(tuple(MaxTerm.from_json(t) for t in doc["terms"]),
                    int(doc["source_p"]))
+
+
+def eval_terms(L, terms, X, Y, W):
+    """Exact value of a sum of nested-max terms at the point (X/W, Y/W),
+    W > 0, from a TermList.kernel_form (see there), as a pair (N, L*W)
+    whose quotient is the value.  ni = ai*X + bi*Y + ci*W is L*W*fi and
+    L*W > 0, so the maxes compare the ni directly and the terms sum on
+    ints.
+    """
+    acc = 0
+    for s1, s2, a1, b1, c1, a2, b2, c2, a3, b3, c3 in terms:
+        m = a2 * X + b2 * Y + c2 * W
+        n3 = a3 * X + b3 * Y + c3 * W
+        if n3 > m:
+            m = n3
+        if s2 < 0:
+            m = -m
+        n1 = a1 * X + b1 * Y + c1 * W
+        if n1 > m:
+            m = n1
+        acc += m if s1 > 0 else -m
+    return acc, L * W
 
 
 def _two_sector_term(r0: Direction, g0: AffineFunc,

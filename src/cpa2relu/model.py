@@ -20,18 +20,15 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
-from . import kernels
 from .errors import (
     ContinuityError,
     DanglingRefError,
     InvalidInputError,
     NoPieceFoundError,
-    SamplingStalledError,
     SchemaError,
 )
 from .geometry import (
@@ -51,6 +48,7 @@ from .geometry import (
     homogeneous,
     hull_points,
     int_line,
+    line_sign,
     rat_from_json,
     rat_to_json,
     same_direction,
@@ -58,10 +56,6 @@ from .geometry import (
     sub,
     translate,
 )
-
-MAX_SAMPLE_REJECTS = 10_000
-SAMPLE_DENOMINATORS = (1, 1 << 16)
-
 
 @dataclass(frozen=True)
 class AffineFunc:
@@ -239,16 +233,18 @@ def _parse_direction(value, what: str) -> Direction:
 
 
 def parse_instance(doc) -> CPAInstance:
-    """Build an instance from a JSON document (dict or source string).
+    """Build an instance from a JSON document (dict, or source as str or
+    bytes).
 
-    Structural problems raise SchemaError; references to missing ids
+    Source that does not decode or parse, and structural problems, raise
+    SchemaError; references to missing ids
     raise DanglingRefError.  Semantic problems (broken cover, torn
     continuity, bad witnesses) are left to validate().
     """
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -413,8 +409,8 @@ def _parity(edges, hx: tuple[int, int, int], hw: tuple[int, int, int],
     count = 0
     for e in edges:
         A, B, C = e.line
-        sx = kernels.line_sign(A, B, C, X1, Y1, W1)
-        sw = kernels.line_sign(A, B, C, X2, Y2, W2)
+        sx = line_sign(A, B, C, X1, Y1, W1)
+        sw = line_sign(A, B, C, X2, Y2, W2)
         if sx == sw:
             continue
         if not (sx and sw):
@@ -429,27 +425,6 @@ def _parity(edges, hx: tuple[int, int, int], hw: tuple[int, int, int],
             through = (A2, B2, X1 * Y2 - Y1 * X2, -_tiebreak(A2, B2, nudge))
         count += _straddles(e, *through)
     return count & 1
-
-
-def _random_box_point(box: tuple[Rat, Rat, Rat, Rat],
-                      rng: random.Random) -> Point:
-    """A random rational point of the closed box.  Each coordinate draws
-    its denominator uniformly from SAMPLE_DENOMINATORS, then its
-    numerator among the multiples of 1/den inside the box.  When no
-    multiple of 1/den lies in [lo, hi], den is multiplied by the
-    denominators of lo and hi, which makes both of them multiples."""
-    xmin, ymin, xmax, ymax = box
-    coords = []
-    for lo, hi in ((xmin, xmax), (ymin, ymax)):
-        den = rng.randint(*SAMPLE_DENOMINATORS)
-        nlo = -((-lo.numerator * den) // lo.denominator)
-        nhi = (hi.numerator * den) // hi.denominator
-        if nlo > nhi:
-            den *= lo.denominator * hi.denominator
-            nlo = lo.numerator * den // lo.denominator
-            nhi = hi.numerator * den // hi.denominator
-        coords.append(Fraction(rng.randint(nlo, nhi), den))
-    return Point(*coords)
 
 
 def _member_core(inst: CPAInstance, pid: str, hx: tuple[int, int, int],
@@ -599,28 +574,6 @@ def eval_cpa(inst: CPAInstance, x: Point) -> Rat:
         raise NoPieceFoundError(
             f"point {x} lies in {len(matches)} pieces; the cover is broken")
     return inst.pieces[matches[0]].affine(x)
-
-
-def _sample_off_hulls(inst: CPAInstance, rng: random.Random,
-                      n: int) -> list[Point]:
-    """n random rational points in the doubled bounding box, rejecting
-    any point on an edge hull.  Raises SamplingStalledError when stuck."""
-    box = inst.bbox()
-    lines = [e.line for e in inst.edges.values()]
-    out: list[Point] = []
-    rejects = 0
-    while len(out) < n:
-        q = _random_box_point(box, rng)
-        hq = homogeneous(q)
-        if any(kernels.line_sign(A, B, C, *hq) == 0 for (A, B, C) in lines):
-            rejects += 1
-            if rejects >= MAX_SAMPLE_REJECTS:
-                raise SamplingStalledError(
-                    f"{rejects} consecutive rejections while sampling")
-            continue
-        rejects = 0
-        out.append(q)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +747,7 @@ def validate(inst: CPAInstance) -> ValidationReport:
     for pid, piece in inst.pieces.items():
         hw = piece.int_witness
         for eid, e in inst.edges.items():
-            if kernels.line_sign(*e.line, *hw) == 0:
+            if line_sign(*e.line, *hw) == 0:
                 fails.append(f"piece {pid}: witness {piece.witness} "
                              f"lies on hull of {eid}")
                 break

@@ -12,31 +12,31 @@ first-layer neurons and three second-layer neurons:
 Blocks are disjoint: term n owns rows 5n..5n+4 and 3n..3n+2, so the whole
 network has O(1) nonzero parameters per term.  Weights stay rational end to
 end in the layers, the exports and the imports.  For exact evaluation each
-network caches an integer form of its layers (_kernel_form), built on its
-first exact evaluation: every unit gets an integer scale, the lcm of the
-denominators its row needs, and every row stores its weights and bias
-multiplied by it.  ReLU commutes with a positive scale, so
-kernels.forward_layers runs the whole pass on ints and eval_network
-divides once at the end.  Three of every eight hidden rows above are the
-negation of the row before them (-f1, -f3, -s): a row whose stored ints
-are the exact negation of its predecessor's is folded into it, so the
-pass computes z once and writes relu(z) and relu(-z).  The fold reads
-the ints alone, so it holds for any network, built, imported or mutated.
-Layer 1 is stored as dense (a, b, c) triples, later layers as sparse
-(col, weight) rows, and rows with no weights and a zero bias are left
-out.  A float64 evaluation path exists for sanity checks only.
+network caches an integer form of its layers (ReluNetwork.kernel_form),
+built on its first exact evaluation: every unit gets an integer scale, the
+lcm of the denominators its row needs, and every row stores its weights
+and bias multiplied by it.  ReLU commutes with a positive scale
+(max(e*z, 0) = e*max(z, 0) for e > 0), so forward_layers runs the whole
+pass on ints and eval_network divides once at the end.  Three of every
+eight hidden rows above are the negation of the row before them (-f1,
+-f3, -s): a row whose stored ints are the exact negation of its
+predecessor's is folded into it, so the pass computes z once and writes
+relu(z) and relu(-z).  The fold reads the ints alone, so it holds for any
+network, built, imported or mutated, and a pair that a mutation breaks is
+simply not folded.  A float64 evaluation path (float_form) exists for
+sanity checks only.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Dict, Tuple
 
 from .errors import EmptyTermListError, SchemaError
 from .geometry import Point, Rat, homogeneous, rat_from_json, rat_to_json
-from .kernels import forward_layers
 from .maxform import TermList
 
 EXACT = "exact"
@@ -75,7 +75,6 @@ class ReluNetwork:
     """Three affine layers 2 -> 5N -> 3N -> 1 with ReLU between them."""
 
     layers: Tuple[AffineLayer, AffineLayer, AffineLayer]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.layers) != 3:
@@ -103,6 +102,37 @@ class ReluNetwork:
     @property
     def n_terms(self) -> int:
         return self.layers[0].rows // 5
+
+    @cached_property
+    def kernel_form(self):
+        """(first, second, out, scale) for forward_layers, built on first
+        exact evaluation.
+
+        Each unit c has an integer scale e_c > 0 (_int_parts), and the
+        pass carries A_c = e_c * W * a_c in place of the unit's exact
+        value a_c at (X/W, Y/W), so x and y (scale 1) enter as X and Y.
+        first and second are the hidden layers as (n, rows): n units, all
+        0 until a row writes a positive value.  A row is
+        (q, paired, a, b, c) in first, with z = a*X + b*Y + c*W, and
+        (q, paired, pairs, B) in second, with z = B*W + sum w*A_c over
+        its (col, w) pairs.  It writes relu(z) to unit q and, when
+        paired, relu(-z) to unit q + 1.  Rows with no weights and a zero
+        bias are left out.  out is the output row (pairs, B), without
+        ReLU, and scale is the output unit's e.  Not a field, so equality
+        and the export never see it.
+        """
+        l1, l2, l3 = self.layers
+        first, scales = _first_rows(l1)
+        second, scales = _sparse_rows(l2, scales)
+        flat, ((bn, bd),), (e,) = _int_parts(l3, scales)
+        out = tuple((c, n * (e // d)) for _, c, n, d in flat)
+        return (l1.rows, first), (l2.rows, second), (out, bn * (e // bd)), e
+
+    @cached_property
+    def float_form(self):
+        """The layers as float rows for the float64 mirror, built on
+        first float64 evaluation.  Not a field either."""
+        return _float_form(self)
 
 
 def build_network(terms: TermList) -> ReluNetwork:
@@ -162,11 +192,10 @@ def _int_parts(layer: AffineLayer, scales) -> tuple[list, list, list]:
 
 
 def _first_rows(layer: AffineLayer) -> tuple[tuple, list]:
-    """Layer 1 as (q, paired, a, b, c) rows over (X, Y, W), and its
-    unit scales.  A row that is the exact negation of the row before it,
-    itself not folded, is folded into that row (paired: the row computes
-    z once for both units), and a zero row is left out (its unit is 0
-    after ReLU)."""
+    """Layer 1 as the dense rows of ReluNetwork.kernel_form, and its unit
+    scales.  A row that is the exact negation of the row before it,
+    itself not folded, is folded into that row, and a zero row is left
+    out (its unit is 0 after ReLU)."""
     flat, bias, es = _int_parts(layer, (1, 1))
     rows = [[0, 0, bn * (e // bd)] for (bn, bd), e in zip(bias, es)]
     for r, c, n, d in flat:
@@ -184,8 +213,8 @@ def _first_rows(layer: AffineLayer) -> tuple[tuple, list]:
 
 
 def _sparse_rows(layer: AffineLayer, scales) -> tuple[tuple, list]:
-    """A later layer as (q, paired, pairs, B) rows, pairs the row's
-    (col, W) ints, folded as in _first_rows; and its unit scales."""
+    """A later layer as the sparse rows of ReluNetwork.kernel_form,
+    folded as in _first_rows, and its unit scales."""
     flat, bias, es = _int_parts(layer, scales)
     rows = [[] for _ in es]
     for r, c, n, d in flat:
@@ -204,20 +233,40 @@ def _sparse_rows(layer: AffineLayer, scales) -> tuple[tuple, list]:
     return tuple(out), es
 
 
-def _kernel_form(net: ReluNetwork):
-    """(first, second, out, scale) for kernels.forward_layers.
-
-    Each ReLU pair relu(z), relu(-z) of the construction is computed
-    once: the fold looks at the stored ints alone, so it is exact for
-    any network, built, imported or mutated, and a pair that a mutation
-    breaks is simply not folded.
+def forward_layers(first, second, out, scale, X, Y, W):
+    """Exact output of an integer 2 -> n1 -> n2 -> 1 ReLU network at
+    (X/W, Y/W), W > 0, from a ReluNetwork.kernel_form (see there), as a
+    pair (A, scale*W) whose quotient is the output.  ReLU is
+    max(A_c, 0), exact because e_c*W > 0, and a unit that is 0 after
+    ReLU adds nothing to the next layer.
     """
-    l1, l2, l3 = net.layers
-    first, scales = _first_rows(l1)
-    second, scales = _sparse_rows(l2, scales)
-    flat, ((bn, bd),), (e,) = _int_parts(l3, scales)
-    out = tuple((c, n * (e // d)) for _, c, n, d in flat)
-    return (l1.rows, first), (l2.rows, second), (out, bn * (e // bd)), e
+    n, rows = first
+    vals = [0] * n
+    for q, paired, a, b, c in rows:
+        z = a * X + b * Y + c * W
+        if z > 0:
+            vals[q] = z
+        elif paired and z:
+            vals[q + 1] = -z
+    n, rows = second
+    prev, vals = vals, [0] * n
+    for q, paired, pairs, z in rows:
+        z *= W
+        for c, w in pairs:
+            v = prev[c]
+            if v:
+                z += w * v
+        if z > 0:
+            vals[q] = z
+        elif paired and z:
+            vals[q + 1] = -z
+    pairs, z = out
+    z *= W
+    for c, w in pairs:
+        v = vals[c]
+        if v:
+            z += w * v
+    return z, scale * W
 
 
 def _float_form(net: ReluNetwork):
@@ -245,16 +294,10 @@ def _forward_float(flayers, x: Point) -> float:
 def eval_network(net: ReluNetwork, x: Point, mode: str = EXACT):
     """Forward pass at a point; exact rationals or a one-shot float64 cast."""
     if mode == EXACT:
-        kl = net._cache.get("kernel")
-        if kl is None:
-            kl = net._cache["kernel"] = _kernel_form(net)
-        n, d = forward_layers(*kl, *homogeneous(x))
+        n, d = forward_layers(*net.kernel_form, *homogeneous(x))
         return Fraction(n, d)
     if mode == FLOAT64:
-        fl = net._cache.get("float")
-        if fl is None:
-            fl = net._cache["float"] = _float_form(net)
-        return _forward_float(fl, x)
+        return _forward_float(net.float_form, x)
     raise ValueError(f"unknown evaluation mode: {mode!r}")
 
 

@@ -10,7 +10,7 @@ decided on integers: a cone query finds its sector of the star with
 geometry.sector_index, which orders directions by the one CCW
 comparator geometry.ccw_angle_cmp, and a half-plane query takes the
 sign of the edge's line (model.EdgeRec.line) at the point's
-homogeneous (X, Y, W) with kernels.line_sign.  Summing their indicators
+homogeneous (X, Y, W) with geometry.line_sign.  Summing their indicators
 (lines positive, segments negative) plus the correction constant c(P)
 reproduces the indicator of P at every general-position point;
 indicator_identity_check tests exactly that.  It converts the point to
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
 from .errors import GeneralPositionError, InvalidInputError, OnBoundaryError
 from .geometry import (
     Line,
@@ -32,6 +31,7 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     int_direction,
+    line_sign,
     sector_index,
 )
 from .model import (
@@ -125,7 +125,7 @@ def _halfplane_contains(inst: CPAInstance, piece_id: str, edge_id: str,
     left, right = edge_sides(inst, edge_id)
     if piece_id not in (left, right):
         raise InvalidInputError(f"edge {edge_id} does not bound piece {piece_id}")
-    s = kernels.line_sign(*inst.edges[edge_id].line, *hx)
+    s = line_sign(*inst.edges[edge_id].line, *hx)
     if s == 0:
         raise GeneralPositionError(
             f"{from_homogeneous(hx)} lies on the affine hull of edge {edge_id}")

@@ -9,19 +9,12 @@ extra term max(0, x - 1000) agrees with a small instance everywhere the
 sampler looks.  "certified" therefore means agreement at the samples in
 the box, and nothing more.  The stage evaluators are exact.  Each takes a
 Point, converts it once to homogeneous form (X, Y, W)
-(geometry.homogeneous) and runs on integers from there: the instance
-through crossing-parity membership on the edges' integer lines and ends,
-each piece's witness converted once per instance; the decomposition
-through kernels.eval_blocks on its integer triples over one common
-denominator, each fan's sector found by geometry.sector_index and each
-edge pair's side by a line sign; the term list through
-kernels.eval_terms on its integer triples over one common denominator,
-comparing numerators; the network through kernels.forward_layers on its
-cached integer rows, each unit scaled by an integer that ReLU commutes
-with and each ReLU pair relu(z), relu(-z) computed from one z.  Each
-builds one Fraction, at the end.  The piece-indicator
-identity (sides.indicator_identity_check) converts its point once for
-every cone, half-plane and membership test.
+(geometry.homogeneous) and runs on integers from there, building one
+Fraction at the end: model.eval_cpa, decompose.eval_decomposition,
+TermList.__call__ and network.eval_network, each on the integer form its
+own module describes.  The piece-indicator identity
+(sides.indicator_identity_check) converts its point once for every cone,
+half-plane and membership test.
 
 Reports are plain data and fully reproducible: the same instance and seed
 always produce byte-identical JSON.
@@ -35,23 +28,65 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .decompose import Decomposition, eval_decomposition
-from .errors import InvalidInputError
-from .geometry import Point, Segment, rat_to_json
+from .errors import InvalidInputError, SamplingStalledError
+from .geometry import Point, Rat, Segment, homogeneous, line_sign, rat_to_json
 from .maxform import TermList
-from .model import CPAInstance, _sample_off_hulls, eval_cpa
+from .model import CPAInstance, eval_cpa
 from .network import (AffineLayer, EXACT, ReluNetwork, build_network,
                       eval_network, stats)
 from .sides import indicator_identity_check
 
 STAGES = ("decompose", "terms", "network")
+MAX_SAMPLE_REJECTS = 10_000
+SAMPLE_DENOMINATORS = (1, 1 << 16)
+
+
+def _random_box_point(box: tuple[Rat, Rat, Rat, Rat],
+                      rng: random.Random) -> Point:
+    """A random rational point of the closed box.  Each coordinate draws
+    its denominator uniformly from SAMPLE_DENOMINATORS, then its
+    numerator among the multiples of 1/den inside the box.  When no
+    multiple of 1/den lies in [lo, hi], den is multiplied by the
+    denominators of lo and hi, which makes both of them multiples."""
+    xmin, ymin, xmax, ymax = box
+    coords = []
+    for lo, hi in ((xmin, xmax), (ymin, ymax)):
+        den = rng.randint(*SAMPLE_DENOMINATORS)
+        nlo = -((-lo.numerator * den) // lo.denominator)
+        nhi = (hi.numerator * den) // hi.denominator
+        if nlo > nhi:
+            den *= lo.denominator * hi.denominator
+            nlo = lo.numerator * den // lo.denominator
+            nhi = hi.numerator * den // hi.denominator
+        coords.append(Fraction(rng.randint(nlo, nhi), den))
+    return Point(*coords)
 
 
 def sample_general_position(inst: CPAInstance, rng_seed: int = 0,
                             n: int = 1000) -> list[Point]:
-    """n random points, each exactly off every edge's affine hull."""
+    """n random rational points in the doubled bounding box, each exactly
+    off every edge's affine hull: a point on a hull is rejected and
+    redrawn.  Raises SamplingStalledError after MAX_SAMPLE_REJECTS
+    rejections in a row."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _sample_off_hulls(inst, random.Random(rng_seed), n)
+    rng = random.Random(rng_seed)
+    box = inst.bbox()
+    lines = [e.line for e in inst.edges.values()]
+    out: list[Point] = []
+    rejects = 0
+    while len(out) < n:
+        q = _random_box_point(box, rng)
+        hq = homogeneous(q)
+        if any(line_sign(A, B, C, *hq) == 0 for (A, B, C) in lines):
+            rejects += 1
+            if rejects >= MAX_SAMPLE_REJECTS:
+                raise SamplingStalledError(
+                    f"{rejects} consecutive rejections while sampling")
+            continue
+        rejects = 0
+        out.append(q)
+    return out
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,49 @@ def test_truncated_net_file_is_data_error(tmp_path, corpus_dir, capsys, sub):
     assert err.startswith("error: ") and "not valid JSON" in err
 
 
+# every subcommand that reads a file, with {bad} standing for a file of
+# bytes that are not UTF-8 (or any JSON encoding)
+READERS = {
+    "validate": ["validate", "{bad}"],
+    "sparsify": ["sparsify", "{bad}", "-o", "{out}"],
+    "decompose": ["decompose", "{bad}", "-o", "{out}"],
+    "compile": ["compile", "{bad}", "-o", "{out}"],
+    "verify": ["verify", "{bad}", "--samples", "5"],
+    "verify --net": ["verify", "{hat}", "--net", "{bad}", "--samples", "5"],
+    "eval": ["eval", "{bad}", "--point", "0", "0"],
+    "stats": ["stats", "{bad}", "--pieces", "4"],
+    "render": ["render", "{bad}", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(READERS))
+def test_non_utf8_file_is_data_error(tmp_path, corpus_dir, capsys, sub):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\x80")
+    names = {"bad": bad, "hat": corpus_dir / "hat.json",
+             "out": tmp_path / "out"}
+    argv = [a.format(**names) for a in READERS[sub]]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
+def test_verify_against_net_file_builds_no_network(tmp_path, corpus_dir,
+                                                   monkeypatch, capsys):
+    net = tmp_path / "hat.net.json"
+    assert cli.run(["compile", str(corpus_dir / "hat.json"),
+                    "-o", str(net)]) == 0
+
+    def no_build(terms):
+        raise AssertionError("verify --net built a network")
+
+    monkeypatch.setattr(cli, "build_network", no_build)
+    capsys.readouterr()
+    assert cli.run(["verify", str(corpus_dir / "hat.json"),
+                    "--net", str(net), "--samples", "10"]) == 0
+    assert "0 failures" in capsys.readouterr().out
+
+
 def test_stats(tmp_path, corpus_dir, capsys):
     net = tmp_path / "strip.net.json"
     cli.run(["compile", str(corpus_dir / "strip.json"), "-o", str(net)])

@@ -1,13 +1,15 @@
-"""The integer kernels agree exactly with Fraction references.  Points
-are drawn in homogeneous form (X, Y, W), W > 0, with W not necessarily
-the one geometry.homogeneous would build."""
+"""The integer evaluators agree exactly with Fraction references:
+geometry.line_sign, maxform.eval_terms and network.forward_layers.
+Points are drawn in homogeneous form (X, Y, W), W > 0, with W not
+necessarily the one geometry.homogeneous would build."""
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, strategies as st
 
-from cpa2relu import kernels, network
-from cpa2relu.maxform import MaxTerm, TermList
+from cpa2relu import network
+from cpa2relu.geometry import line_sign
+from cpa2relu.maxform import MaxTerm, TermList, eval_terms
 from cpa2relu.model import AffineFunc
 
 ints = st.integers(-10**6, 10**6)
@@ -19,7 +21,7 @@ points = st.tuples(ints, ints, pos)
 def test_line_sign_matches_fractions(a, b, c, p):
     X, Y, W = p
     want = a * Fraction(X, W) + b * Fraction(Y, W) + c
-    got = kernels.line_sign(a, b, c, X, Y, W)
+    got = line_sign(a, b, c, X, Y, W)
     assert got == (want > 0) - (want < 0)
 
 
@@ -49,7 +51,7 @@ def max_terms(draw):
 
 @given(st.lists(max_terms(), min_size=1, max_size=6), points)
 def test_eval_terms_matches_fractions(terms, p):
-    """kernels.eval_terms on a TermList's common-denominator form
+    """eval_terms on a TermList's common-denominator form
     against the plain Fraction value of every term at the point."""
     X, Y, W = p
     x, y = Fraction(X, W), Fraction(Y, W)
@@ -60,7 +62,7 @@ def test_eval_terms_matches_fractions(terms, p):
     want = sum(t.sigma1 * max(f(t.f1), t.sigma2 * max(f(t.f2), f(t.f3)))
                for t in terms)
     L, rows = TermList(tuple(terms), 0).kernel_form
-    n, d = kernels.eval_terms(L, rows, X, Y, W)
+    n, d = eval_terms(L, rows, X, Y, W)
     assert d == L * W > 0
     assert Fraction(n, d) == want
 
@@ -97,7 +99,7 @@ def _forward(layers, x, y):
 
 
 def _kernel_value(net, X, Y, W):
-    n, d = kernels.forward_layers(*network._kernel_form(net), X, Y, W)
+    n, d = network.forward_layers(*net.kernel_form, X, Y, W)
     assert d > 0
     return Fraction(n, d)
 
@@ -203,7 +205,7 @@ def test_built_networks_fold_every_relu_pair(compiled):
     f1 or f3 leaves both of its rows out instead, and with f2 = 0 the
     row f2 - f3 = -f3 pairs with f3 in place of -f3."""
     for name, (*_, terms, net) in compiled.items():
-        (_, first), (_, second), _, _ = network._kernel_form(net)
+        (_, first), (_, second), _, _ = net.kernel_form
         want1 = [(not t.f1.is_zero()) + (not t.f3.is_zero())
                  for t in terms.terms]
         got1 = [0] * len(terms.terms)

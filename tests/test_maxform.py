@@ -330,7 +330,7 @@ def test_term_forms_are_lazy_and_invisible(compiled):
     net = network.build_network(terms)
     assert "kernel_form" not in vars(terms)
     assert not any("int_form" in vars(t) for t in terms.terms)
-    assert not net._cache
+    assert "kernel_form" not in vars(net)
     twin = reduce(dec, slim.p)
     before = json.dumps(terms.to_json(), sort_keys=True)
     x = sample_general_position(slim, 1, 1)[0]

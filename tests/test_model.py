@@ -36,6 +36,11 @@ def test_parse_accepts_json_source_string(corpus_docs):
     assert sorted(inst.pieces) == ["L", "R"]
 
 
+def test_parse_rejects_bytes_that_are_not_unicode():
+    with pytest.raises(SchemaError):
+        model.parse_instance(b"\x80")
+
+
 def _half_plane_doc(corpus_docs):
     return copy.deepcopy(corpus_docs["half_plane"])
 

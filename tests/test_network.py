@@ -1,5 +1,7 @@
 """Network assembly, exact/float evaluation, serialization."""
 import copy
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -103,6 +105,24 @@ def test_float_mode_close_to_exact(compiled):
             approx = eval_network(net, x, mode=FLOAT64)
             tol = 1e-9 * (1 + abs(exact))
             assert abs(approx - float(exact)) <= tol, name
+
+
+def test_network_forms_are_lazy_and_invisible(compiled):
+    """build_network builds neither evaluation form; once an exact and a
+    float64 evaluation build them, equality with a fresh build and the
+    export bytes are unchanged, and layers stays the only field."""
+    _, slim, _, terms, _ = compiled["ring_bump"]
+    net = build_network(terms)
+    assert "kernel_form" not in vars(net) and "float_form" not in vars(net)
+    before = json.dumps(export_network(net), sort_keys=True)
+    x = sample_general_position(slim, 1, 1)[0]
+    eval_network(net, x, EXACT)
+    eval_network(net, x, FLOAT64)
+    assert "kernel_form" in vars(net) and "float_form" in vars(net)
+    assert net == build_network(terms)
+    assert json.dumps(export_network(net), sort_keys=True) == before
+    assert [f.name for f in dataclasses.fields(network.ReluNetwork)] == \
+        ["layers"]
 
 
 def test_unknown_mode_rejected(compiled):
