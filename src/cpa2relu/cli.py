@@ -129,14 +129,20 @@ def _read_json(path: str):
 
 
 def _write_json(path: str, doc) -> None:
+    """The document as indented, key-sorted JSON and a newline, in one
+    write."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _load_instance(path: str):
-    with open(path, "rb") as fh:
-        return parse_instance(fh.read())
+    """The instance in the file; like any other input file, one that is
+    not JSON fails naming the path (_read_json)."""
+    doc = _read_json(path)
+    if isinstance(doc, str):
+        # a JSON string is a value, not instance source to decode again
+        raise SchemaError("instance document must be a JSON object")
+    return parse_instance(doc)
 
 
 def _validated(path: str):

@@ -65,18 +65,38 @@ class Fan:
         """The rays as integer pairs, the form sector_index takes."""
         return tuple(int_direction(d) for d in self.rays)
 
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, int, int], int,
+                                tuple[tuple[int, int, int], ...]]:
+        """(centre, L, sectors): the centre in homogeneous (X, Y, W) and
+        every sector affine as an integer triple (a, b, c) over the
+        common denominator L > 0, standing for (a*x + b*y + c)/L; the
+        form validate_fan and maxform.fan_to_terms read.  Not a field,
+        so equality, hashing and the JSON dump never see it."""
+        forms = [g.int_form() for g in self.sector_affines]
+        L = lcm(*(D for _, _, _, D in forms))
+        return homogeneous(self.center), L, tuple(
+            (A * (L // D), B * (L // D), C * (L // D)) for A, B, C, D in forms)
+
 
 def validate_fan(fan: Fan) -> None:
-    """Adjacent sector affines must agree along their shared ray."""
-    k = len(fan.rays)
-    for i in range(k):
-        d = fan.rays[i]
-        prev = fan.sector_affines[i - 1]
-        cur = fan.sector_affines[i]
-        for q in (fan.center, translate(fan.center, d)):
-            if prev(q) != cur(q):
-                raise ContinuityError(
-                    f"fan sectors {i - 1} and {i} disagree at {q}")
+    """Adjacent sector affines must agree along their shared ray: at the
+    centre, and one ray step from it.
+
+    On the integer form: the two sectors' difference must vanish at the
+    centre's (X, Y, W), and its slope part along the ray's integer pair.
+    The failing point is built only for the message."""
+    (cX, cY, cW), _, sectors = fan.int_form
+    for i, (dx, dy) in enumerate(fan.int_rays):
+        (a0, b0, c0), (a1, b1, c1) = sectors[i - 1], sectors[i]
+        da, db = a0 - a1, b0 - b1
+        if da * cX + db * cY + (c0 - c1) * cW:
+            q = fan.center
+        elif da * dx + db * dy:
+            q = translate(fan.center, fan.rays[i])
+        else:
+            continue
+        raise ContinuityError(f"fan sectors {i - 1} and {i} disagree at {q}")
 
 
 @dataclass(frozen=True)

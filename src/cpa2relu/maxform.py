@@ -6,7 +6,10 @@ combined angle below pi is merged off as a three-sector fan until three
 sectors are left, and each three-sector fan is written as
 sigma1 * max(f1, sigma2 * max(f2, f3)).  Four-sector fans whose rays form
 two crossing lines admit no such pair and are split into two two-piece
-functions instead.  Edge pairs become plain max/min of their two affines.
+functions instead.  The sweep runs on integer rays and integer slopes
+over one common denominator; each term's AffineFuncs are built once, at
+the reflection back.  Edge pairs become plain max/min of their two
+affines, compared on integer forms.
 
 A TermList evaluates on integers: on first evaluation it builds its
 kernel_form, every affine of every term as an integer triple over one
@@ -22,16 +25,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import lcm
+from math import gcd, lcm
 
-from .errors import ContinuityError, MalformedFanError
+from .errors import MalformedFanError
 from .decompose import Decomposition, EdgePair, Fan, validate_fan
-from .geometry import (X_AXIS, Direction, Point, Rat, ccw_angle_cmp, cross,
-                       homogeneous)
+from .geometry import X_AXIS, Point, Rat, ccw_angle_cmp, homogeneous
 from .model import AffineFunc
-
-_ZERO = Fraction(0)
-_ZERO_AFFINE = AffineFunc(_ZERO, _ZERO, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,6 @@ class MaxTerm:
         return MaxTerm(self.sigma1, self.f1 + h.scale(s),
                        self.sigma2, self.f2 + h.scale(si),
                        self.f3 + h.scale(si))
-
-    def reflect_through(self, v: Point) -> "MaxTerm":
-        """A term whose value is self(v - x)."""
-        return MaxTerm(self.sigma1, self.f1.reflect_through(v),
-                       self.sigma2, self.f2.reflect_through(v),
-                       self.f3.reflect_through(v))
 
     def to_json(self) -> dict:
         return {"sigma1": self.sigma1, "f1": self.f1.to_json(),
@@ -146,48 +139,58 @@ def eval_terms(L, terms, X, Y, W):
     return acc, L * W
 
 
-def _two_sector_term(r0: Direction, g0: AffineFunc,
-                     g1: AffineFunc) -> MaxTerm:
+def _two_sector_term(r0: tuple[int, int], g0: tuple[int, int],
+                     g1: tuple[int, int]) -> tuple:
     """A two-sector linear fan, g0 on the sector CCW of r0 up to the
-    opposite ray and g1 on the other, is the max or min of its affines:
-    the probe a quarter turn CCW of r0 lies in g0's sector."""
-    probe = Point(-r0.dy, r0.dx)
-    if g0(probe) >= g1(probe):
-        return MaxTerm(1, g0, 1, g1, g1)
-    return MaxTerm(-1, -g0, 1, -g1, -g1)
+    opposite ray and g1 on the other, is the max or min of its linear
+    parts: the probe a quarter turn CCW of r0 lies in g0's sector.
+    Rays and slopes are integer pairs, the slopes over one common
+    denominator; the result is (sigma1, f1, sigma2, f2, f3) in that
+    form."""
+    (x0, y0), (a0, b0), (a1, b1) = r0, g0, g1
+    if (a1 - a0) * y0 >= (b1 - b0) * x0:
+        return 1, g0, 1, g1, g1
+    return -1, (-a0, -b0), 1, (-a1, -b1), (-a1, -b1)
 
 
-def _three_piece_linear(rays: Sequence[Direction],
-                        affs: Sequence[AffineFunc]) -> MaxTerm:
-    """Write a three-sector linear fan at the origin as
-    sigma1 * max(f1, sigma2 * max(f2, f3)), after checking that adjacent
-    sectors agree on their shared ray.
+def _three_piece_linear(rays: Sequence[tuple[int, int]],
+                        affs: Sequence[tuple[int, int]]) -> tuple:
+    """Write a three-sector linear fan at the origin, continuous across
+    its rays, as sigma1 * max(f1, sigma2 * max(f2, f3)), in the integer
+    form of _two_sector_term.
 
     With all sector angles below pi the inner pair joins by max, with
     one reflex sector by min; the outer sign is decided by one exact
     comparison on the ray between the two non-distinguished sectors.
     """
-    pts = [Point(d.dx, d.dy) for d in rays]
-    for i in range(3):
-        if affs[i - 1](pts[i]) != affs[i](pts[i]):
-            raise ContinuityError(
-                f"fan sectors {i - 1} and {i} disagree on ray {rays[i]}")
-    reflex = [i for i in range(3) if cross(rays[i], rays[(i + 1) % 3]) <= 0]
+    reflex = [i for i in range(3) if _cross(rays[i], rays[(i + 1) % 3]) <= 0]
     if len(reflex) > 1:
         raise MalformedFanError(f"{len(reflex)} sector angles of at least pi")
     m = reflex[0] if reflex else 0
     f0 = affs[m]
     f1 = affs[(m + 1) % 3]
     f2 = affs[(m + 2) % 3]
-    p0 = pts[(m + 2) % 3]
-    fan_at_p0 = f1(p0)  # == f2(p0) by continuity on the shared ray
+    x, y = rays[(m + 2) % 3]
+    # the fan's value there is f1's, which is f2's by continuity
+    above = f1[0] * x + f1[1] * y >= f0[0] * x + f0[1] * y
+    n0, n1, n2 = (-f0[0], -f0[1]), (-f1[0], -f1[1]), (-f2[0], -f2[1])
     if not reflex:
-        if fan_at_p0 >= f0(p0):
-            return MaxTerm(1, f0, 1, f1, f2)
-        return MaxTerm(-1, -f0, 1, -f1, -f2)
-    if fan_at_p0 >= f0(p0):
-        return MaxTerm(1, f0, -1, -f1, -f2)
-    return MaxTerm(-1, -f0, -1, f1, f2)
+        return (1, f0, 1, f1, f2) if above else (-1, n0, 1, n1, n2)
+    return (1, f0, -1, n1, n2) if above else (-1, n0, -1, f1, f2)
+
+
+def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _reflected(g: tuple[int, int], D: int, cX: int, cY: int, cW: int,
+               e: int = 0, E: int = 1) -> AffineFunc:
+    """x -> f(v - x) + e/(E*cW) for the linear f = (a*x + b*y)/D, g = (a, b),
+    and the centre v = (cX/cW, cY/cW); every coefficient is one
+    canonical Fraction."""
+    a, b = g
+    return AffineFunc(Fraction(-a, D), Fraction(-b, D),
+                      Fraction((a * cX + b * cY) * E + e * D, D * E * cW))
 
 
 def fan_to_terms(fan: Fan) -> list[MaxTerm]:
@@ -202,64 +205,90 @@ def fan_to_terms(fan: Fan) -> list[MaxTerm]:
     agrees with the pair on r0 and r2 closes a three-sector term, and the
     remainder is the fan minus that term, so the pair's sector becomes 0,
     f_p is subtracted from every other sector and r1 is deleted.  The
-    remainder stays CCW-sorted from +x.  When no pair qualifies at four
-    or more sectors, the angle sum forces two crossing lines; that fan is
-    the sum of two two-sector fans, one across each line.  Every term is
-    reflected back through v and the first carries f(v).
+    remainder stays CCW-sorted from +x, and continuous: f_p matches the
+    pair on r0 and r2.  When no pair qualifies at four or more sectors,
+    the angle sum forces two crossing lines; that fan is the sum of two
+    two-sector fans, one across each line.  Every term is reflected back
+    through v and the first carries f(v).
+
+    The sweep runs on integers, from the fan's int_rays and int_form:
+    the slopes are integer pairs over one common denominator L.  f_p
+    by Cramer's rule has the denominator L*det, det = cross(r0, r2) > 0,
+    so each step rescales the slopes by det and divides out the gcd of
+    all of them and the new L.  Each term's AffineFuncs are built once,
+    at the reflection, from canonical Fractions.
     """
     validate_fan(fan)
-    v = fan.center
+    (cX, cY, cW), L, sectors = fan.int_form
     ints = [(-x, -y) for x, y in fan.int_rays]
     s = min(range(len(ints)), key=cmp_to_key(
         lambda a, b: ccw_angle_cmp(X_AXIS, ints[a], ints[b])))
-    rays = [-d for d in fan.rays[s:] + fan.rays[:s]]
-    affs = [AffineFunc(-g.a, -g.b, _ZERO)
-            for g in fan.sector_affines[s:] + fan.sector_affines[:s]]
-    terms: list[MaxTerm] = []
+    rays = ints[s:] + ints[:s]
+    affs = [(-a, -b) for a, b, _ in sectors[s:] + sectors[:s]]
+    D = L
+    lin = []  # (sigma1, f1, sigma2, f2, f3) over D, with that D
     while len(rays) > 3:
         k = len(rays)
         j = next((i for i in range(k)
-                  if cross(rays[i], rays[(i + 2) % k]) > 0), None)
+                  if _cross(rays[i], rays[(i + 2) % k]) > 0), None)
         if j is None:
             # two crossing lines: f1 across the line of r1, then the
             # residual f3 - f2, which vanishes on the line of r0
-            terms.append(_two_sector_term(rays[1], affs[1], affs[0]))
-            terms.append(_two_sector_term(
-                rays[0], _ZERO_AFFINE, affs[2] - affs[1]))
+            (a1, b1), (a2, b2) = affs[1], affs[2]
+            lin.append((_two_sector_term(rays[1], affs[1], affs[0]), D))
+            lin.append((_two_sector_term(rays[0], (0, 0),
+                                         (a2 - a1, b2 - b1)), D))
             break
         m, n = (j + 1) % k, (j + 2) % k
-        r0, r2 = rays[j], rays[n]
-        c1 = affs[j](Point(r0.dx, r0.dy))
-        c2 = affs[m](Point(r2.dx, r2.dy))
-        det = cross(r0, r2)
-        f_p = AffineFunc((c1 * r2.dy - c2 * r0.dy) / det,
-                         (r0.dx * c2 - r2.dx * c1) / det, _ZERO)
-        terms.append(_three_piece_linear((r0, rays[m], r2),
-                                         (affs[j], affs[m], f_p)))
-        affs = [_ZERO_AFFINE if i == j else g - f_p
-                for i, g in enumerate(affs)]
+        (x0, y0), (x2, y2) = rays[j], rays[n]
+        (aj, bj), (am, bm) = affs[j], affs[m]
+        c1 = aj * x0 + bj * y0
+        c2 = am * x2 + bm * y2
+        det = x0 * y2 - y0 * x2
+        f_p = (c1 * y2 - c2 * y0, x0 * c2 - x2 * c1)
+        D *= det
+        lin.append((_three_piece_linear(
+            (rays[j], rays[m], rays[n]),
+            ((aj * det, bj * det), (am * det, bm * det), f_p)), D))
+        pa, pb = f_p
+        affs = [(0, 0) if i == j else (a * det - pa, b * det - pb)
+                for i, (a, b) in enumerate(affs)]
         del rays[m], affs[m]
+        g = gcd(D, *(c for ab in affs for c in ab))
+        if g > 1:
+            D //= g
+            affs = [(a // g, b // g) for a, b in affs]
     else:
         if len(rays) == 3:
-            terms.append(_three_piece_linear(rays, affs))
+            lin.append((_three_piece_linear(rays, affs), D))
         else:
-            terms.append(_two_sector_term(rays[0], affs[0], affs[1]))
-    terms = [t.reflect_through(v) for t in terms]
-    f_of_v = fan.sector_affines[0](v)
-    if f_of_v != 0:
-        terms[0] = terms[0].shift(AffineFunc(_ZERO, _ZERO, f_of_v))
+            lin.append((_two_sector_term(rays[0], affs[0], affs[1]), D))
+    a0, b0, c0 = sectors[0]
+    fv = a0 * cX + b0 * cY + c0 * cW  # f(v) = fv/(L*cW)
+    terms = []
+    for (s1, f1, s2, f2, f3), Dt in lin:
+        e1, e2 = (s1 * fv, s1 * s2 * fv) if not terms else (0, 0)
+        terms.append(MaxTerm(s1, _reflected(f1, Dt, cX, cY, cW, e1, L),
+                             s2, _reflected(f2, Dt, cX, cY, cW, e2, L),
+                             _reflected(f3, Dt, cX, cY, cW, e2, L)))
     return terms
 
 
 def edge_to_max(ep: EdgePair) -> MaxTerm:
     """One max/min term for a half-plane pair; the edge sign from the
-    decomposition is folded into the outer sign."""
-    g = ep.boundary
-    norm2 = g.a * g.a + g.b * g.b
-    probe = Point((1 - g.c) * g.a / norm2, (1 - g.c) * g.b / norm2)
-    assert g(probe) == 1
+    decomposition is folded into the outer sign.
+
+    The two affines are compared at the probe where the boundary g is 1
+    on its normal through the origin, on the integer forms (A, B, C, D)
+    of g, fp and fm: the probe is (X, Y, W) = (t*A, t*B, A*A + B*B),
+    t = D - C."""
+    A, B, C, D = ep.boundary.int_form()
+    t = D - C
+    X, Y, W = t * A, t * B, A * A + B * B
+    assert W > 0 and A * X + B * Y + C * W == D * W
     fp, fm = ep.plus_side_affine, ep.minus_side_affine
-    if fp(probe) >= fm(probe):
+    (pa, pb, pc, pd), (ma, mb, mc, md) = fp.int_form(), fm.int_form()
+    if (pa * X + pb * Y + pc * W) * md >= (ma * X + mb * Y + mc * W) * pd:
         term = MaxTerm(1, fp, 1, fm, fm)
     else:
         term = MaxTerm(-1, -fp, 1, -fm, -fm)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -79,10 +80,6 @@ class AffineFunc:
 
     def scale(self, t: Rat) -> "AffineFunc":
         return AffineFunc(self.a * t, self.b * t, self.c * t)
-
-    def reflect_through(self, v: Point) -> "AffineFunc":
-        """The affine map x |-> f(v - x)."""
-        return AffineFunc(-self.a, -self.b, self.a * v.x + self.b * v.y + self.c)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0
@@ -634,6 +631,38 @@ def _edges_intersect_cleanly(e1: EdgeRec, e2: EdgeRec,
     return None
 
 
+def _pairs_that_can_meet(recs: list[EdgeRec]) -> list[tuple[int, int]]:
+    """The index pairs (i, j), i < j, in increasing order, of the edges
+    that can share a point: every pair with a ray or a line in it, and
+    the segment pairs whose bounding boxes overlap, ends included.
+
+    Two segments whose boxes are disjoint cannot meet, so dropping
+    those pairs is exact.  The boxes are taken on the floors of the
+    coordinates, a monotone map, so boxes that overlap still overlap
+    (and more may); for integer coordinates they are the exact boxes.
+    The boxes are sorted by their left sides; a box meets, among those
+    after it, only the ones that start before its right side does, and
+    of those the ones whose y-ranges overlap its own.
+    """
+    n = len(recs)
+    boxes = []
+    keys = set()  # i * n + j for a pair i < j
+    for i, e in enumerate(recs):
+        if not isinstance(e.geom, Segment):
+            keys.update(min(i, j) * n + max(i, j) for j in range(n) if j != i)
+            continue
+        (X0, Y0, W0), (X1, Y1, W1) = e.ends
+        x0, x1, y0, y1 = X0 // W0, X1 // W1, Y0 // W0, Y1 // W1
+        boxes.append((min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1), i))
+    boxes.sort()
+    lefts = [b[0] for b in boxes]
+    for a, (_, x1, y0, y1, i) in enumerate(boxes):
+        keys.update(i * n + j if i < j else j * n + i
+                    for _, _, v0, v1, j in boxes[a + 1:bisect_right(lefts, x1)]
+                    if v0 <= y1 and y0 <= v1)
+    return [divmod(k, n) for k in sorted(keys)]
+
+
 def _chain_check(inst: CPAInstance, pid: str, comp: BoundaryComponent) -> list[str]:
     """Well-formedness of one boundary component's edge chain."""
     errs: list[str] = []
@@ -682,22 +711,33 @@ def _chain_check(inst: CPAInstance, pid: str, comp: BoundaryComponent) -> list[s
 def validate(inst: CPAInstance) -> ValidationReport:
     """Run all instance admissibility checks and collect the outcomes.
 
-    Every check is exact; none samples.  Edge pairs and witnesses are
-    checked against the edges' int_lines by integer signs alone; a point
-    is constructed only to report a failure.  Witness separation probes
-    the first piece's witness against each other piece, and the cover
-    check orients every edge with edge_sides: (p - 1) + 2|E| membership
-    probes.
+    Every check is exact; none samples, and all run on integer forms:
+    continuity on the pieces' AffineFunc.int_form at each edge's
+    homogeneous hull points, edge pairs and witnesses against the edges'
+    int_lines by integer signs alone; a point is constructed only to
+    report a failure.  Only the edge pairs _pairs_that_can_meet returns
+    are tested, in index order, so the failures keep the order of the
+    all-pairs loop.  Witness separation probes the first piece's witness
+    against each other piece, and the cover check orients every edge
+    with edge_sides: (p - 1) + 2|E| membership probes.
     """
     checks: list[CheckResult] = []
 
-    # (a) continuity: adjacent affines agree on each edge's hull
+    # (a) continuity: adjacent affines agree on each edge's hull, at its
+    # two hull points (hull_points) in homogeneous form: the edge's base
+    # and its far end, which for a ray or line is the direction at
+    # infinity (W = 0), where the affines' slopes are compared
     fails: list[str] = []
+    forms = {pid: piece.affine.int_form() for pid, piece in inst.pieces.items()}
     for eid, e in inst.edges.items():
-        q, r = (inst.pieces[pid].affine for pid in e.pieces)
-        for pt_ in hull_points(e.geom):
-            if q(pt_) != r(pt_):
-                fails.append(f"edge {eid}: affines differ at {pt_}")
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = (forms[pid] for pid in e.pieces)
+        h0, h1 = e.ends
+        if isinstance(e.geom, Line):
+            h0 = homogeneous(e.geom.p)
+        for k, (X, Y, W) in enumerate((h0, h1)):
+            if (a1 * X + b1 * Y + c1 * W) * d2 != (a2 * X + b2 * Y + c2 * W) * d1:
+                fails.append(f"edge {eid}: affines differ at "
+                             f"{hull_points(e.geom)[k]}")
                 break
     checks.append(CheckResult("continuity", not fails, fails))
 
@@ -737,17 +777,20 @@ def validate(inst: CPAInstance) -> ValidationReport:
                     fails.append(f"piece {pid}: edge {eid} repeated in boundary")
                 seen.add(eid)
     recs = list(inst.edges.items())
-    for i, (e1, r1) in enumerate(recs):
-        for e2, r2 in recs[i + 1:]:
-            shared = [inst.vertices[v] for v in r1.vertex_ids
-                      if v in r2.vertex_ids]
-            msg = _edges_intersect_cleanly(r1, r2, shared)
-            if msg is not None:
-                fails.append(f"{e1} vs {e2}: {msg}")
+    for i, j in _pairs_that_can_meet([r for _, r in recs]):
+        (e1, r1), (e2, r2) = recs[i], recs[j]
+        shared = [inst.vertices[v] for v in r1.vertex_ids
+                  if v in r2.vertex_ids]
+        msg = _edges_intersect_cleanly(r1, r2, shared)
+        if msg is not None:
+            fails.append(f"{e1} vs {e2}: {msg}")
+    lines = {e.line for e in inst.edges.values()}
     for pid, piece in inst.pieces.items():
-        hw = piece.int_witness
+        X, Y, W = piece.int_witness
+        if 0 not in [A * X + B * Y + C * W for A, B, C in lines]:
+            continue
         for eid, e in inst.edges.items():
-            if line_sign(*e.line, *hw) == 0:
+            if line_sign(*e.line, X, Y, W) == 0:
                 fails.append(f"piece {pid}: witness {piece.witness} "
                              f"lies on hull of {eid}")
                 break

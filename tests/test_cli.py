@@ -1,4 +1,5 @@
 """End-to-end command-line runs, in process."""
+import io
 import json
 import shlex
 import xml.etree.ElementTree as ET
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cpa2relu import cli
+from cpa2relu import cli, maxform, model, network
+from cpa2relu.decompose import decompose, decomposition_to_json
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -139,6 +141,51 @@ def test_non_utf8_file_is_data_error(tmp_path, corpus_dir, capsys, sub):
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not valid JSON" in err
+
+
+def test_truncated_instance_file_error_names_it(tmp_path, capsys):
+    bad = tmp_path / "cut.json"
+    bad.write_text("{")
+    assert cli.run(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid JSON")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["input", "net"])
+def test_verify_error_names_the_bad_file(tmp_path, corpus_dir, capsys, which):
+    """verify reads two files; a broken one is named, not the other."""
+    hat = corpus_dir / "hat.json"
+    net = tmp_path / "hat.net.json"
+    assert cli.run(["compile", str(hat), "-o", str(net)]) == 0
+    bad = tmp_path / "cut.json"
+    bad.write_text("{")
+    inp, netf = (bad, net) if which == "input" else (hat, bad)
+    capsys.readouterr()
+    assert cli.run(["verify", str(inp), "--net", str(netf),
+                    "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid JSON")
+    assert str(inp if which == "net" else netf) not in err
+
+
+def test_written_files_are_indented_sorted_json(tmp_path, corpus_dir):
+    """compile, sparsify and decompose write json.dumps(doc, indent=1,
+    sort_keys=True) and a newline, the bytes json.dump streams."""
+    src = corpus_dir / "ring_bump.json"
+    slim = model.sparsify(model.parse_instance(src.read_bytes()))
+    dec = decompose(slim)
+    net = network.build_network(maxform.reduce(dec, slim.p))
+    docs = {"compile": network.export_network(net),
+            "sparsify": model.serialize_instance(slim),
+            "decompose": decomposition_to_json(dec)}
+    for sub, doc in docs.items():
+        out = tmp_path / f"{sub}.json"
+        assert cli.run([sub, str(src), "-o", str(out)]) == 0
+        want = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        streamed = io.StringIO()
+        json.dump(doc, streamed, indent=1, sort_keys=True)
+        assert out.read_text() == want == streamed.getvalue() + "\n"
 
 
 def test_verify_against_net_file_builds_no_network(tmp_path, corpus_dir,

@@ -5,11 +5,16 @@ decomposition dump, the serialized sparsified instance, the verifier's
 report at 200 samples and the lemma suite's report at 100 samples on
 the parsed and on the sparsified instance.  The exported network of
 seeded random_instance(3, n) draws is pinned too: their fans reach
-degree 25, against 6 in the corpus.  A change that alters any of these
-bytes must say so and update the digest.
+degree 25, against 6 in the corpus.  For random_instance(s, n) with s in
+{5, 9}, the term list and the validation report of a broken copy of the
+draw (one vertex moved, one witness put on a vertex) are pinned, so the
+reduction's and validate's failure messages and their order are fixed.
+A change that alters any of these bytes must say so and update the
+digest.
 """
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -149,3 +154,49 @@ def test_random_draw_exports_are_byte_identical(n_points):
     terms = maxform.reduce(decompose(slim), slim.p)
     got = _sha(network.export_network(network.build_network(terms)))
     assert got == RANDOM_EXPORT_DIGESTS[n_points]
+
+
+# (seed, n_points) -> (TermList.to_json(), broken copy's ValidationReport)
+DRAW_DIGESTS = {
+    (5, 10): ("f1a2c0c092d26181c585e0a69ad3c593a8d274dc57087181d244b3aeeea8c73c",
+             "553246bdcf6b4bca39a51d939ad07f0a73f62977ce77eeb84262b011d2767967"),
+    (5, 20): ("2c5d20426a0942a53aa19f172c2952791cd17d9b843b0ca2c8e3d27bb55017fe",
+             "158f9211b086c04d7e21f64b88b587b0a3783575286c37b44f2726bd652a2500"),
+    (5, 40): ("ff44c05508d6e709f6d9fab88267337a22df9b8325e42111ebc6a6772ea080cd",
+             "adb16191e5be7f3e8f39f40a4fb3e19523c1c7643923028549c7659584da4706"),
+    (5, 80): ("114ee4e3bb1a31bcab5898788f178c819d118606bef0a3b65b248dd169b2cf27",
+             "74d7ecc27f92dd89d18daa1c4d977b3ac879253ea1264bfca050c111b2c30b6f"),
+    (9, 10): ("b463e9953ec8d70807f1c6b5801155f5f144d553ee4864e66e42f5b285a3a8c9",
+             "0f443fca04d60e40bb681d29e7acf4f6907da8c50b168b6ecc168f18112de3ca"),
+    (9, 20): ("3f7c347ba80ab0dc9db9f233acca6b480495ca8e88e888e79ec3b85b097b4469",
+             "7807fa803a1cab1d06f2d18af7be9a0c9a2542d1d2725ae315c5a705f63acd50"),
+    (9, 40): ("4cd14d6b16550874e932df6c94a2e64fb0352ad7a2b9011573369b5a84ad19d9",
+             "611610dc49cc816e57c7a6bb8e6a122c920c54d6a7a956f94a67269ed036a9db"),
+    (9, 80): ("9c541f2422c62774b3ae5f645070dc497bbef89f5dceee4551ace776ea6d47ac",
+             "7e5f17f9d1155e3552c80baea2fb3694b21d15106b34c459c4a6f35de1cdd023"),
+}
+
+
+def _broken(doc: dict) -> dict:
+    """The draw with its middle vertex (in id order) moved by (37/3, -23)
+    and its first piece's witness put on its first vertex: edges cross,
+    continuity tears, and a witness lies on hulls."""
+    doc = json.loads(json.dumps(doc))
+    vids = sorted(doc["vertices"])
+    vid = vids[len(vids) // 2]
+    x, y = (Fraction(c) for c in doc["vertices"][vid])
+    doc["vertices"][vid] = [str(x + Fraction(37, 3)), str(y - 23)]
+    doc["pieces"][sorted(doc["pieces"])[0]]["witness"] = doc["vertices"][vids[0]]
+    return doc
+
+
+@pytest.mark.parametrize("seed, n_points", sorted(DRAW_DIGESTS))
+def test_random_draw_terms_and_reports_are_byte_identical(seed, n_points):
+    doc = corpus.random_instance(seed, n_points)
+    assert model.validate(model.parse_instance(doc)).ok
+    slim = model.sparsify(model.parse_instance(doc))
+    terms = maxform.reduce(decompose(slim), slim.p)
+    report = model.validate(model.parse_instance(_broken(doc)))
+    assert not report.ok
+    got = (_sha(terms.to_json()), _sha(report.to_json()))
+    assert got == DRAW_DIGESTS[seed, n_points]

@@ -11,10 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cpa2relu import model, network
+from cpa2relu import maxform, model, network
 from cpa2relu.decompose import Decomposition, EdgePair, Fan, eval_fan
 from cpa2relu.errors import ContinuityError
-from cpa2relu.geometry import ccw_sort_directions, cross, dr, pt, same_direction
+from cpa2relu.geometry import (
+    ccw_sort_directions, cross, dr, homogeneous, pt, same_direction,
+)
 from cpa2relu.maxform import (
     MaxTerm, TermList, edge_to_max, fan_to_terms, reduce,
 )
@@ -256,9 +258,14 @@ def test_shift_law(t, h, q):
     assert t.shift(h)(q) == t(q) + h(q)
 
 
-@given(terms, points, points)
-def test_reflect_law(t, v, q):
-    assert t.reflect_through(v)(q) == t(pt(v.x - q.x, v.y - q.y))
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 30),
+       points, points, st.integers(-50, 50), st.integers(1, 30))
+def test_reflect_law(a, b, D, v, q, e, E):
+    """fan_to_terms reflects each linear term f = (a*x + b*y)/D back
+    through the centre v, the first one shifted by e/(E*W)."""
+    X, Y, W = homogeneous(v)
+    f = maxform._reflected((a, b), D, X, Y, W, e, E)
+    assert f(q) == (a * (v.x - q.x) + b * (v.y - q.y)) / D + Fraction(e, E * W)
 
 
 def test_bad_signs_rejected():

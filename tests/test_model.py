@@ -1,10 +1,13 @@
 """Instance parsing, validation, evaluation and sparsification."""
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpa2relu import corpus, maxform, model, network
 from cpa2relu.decompose import decompose
@@ -251,6 +254,131 @@ def test_validate_reports_edges_that_meet_off_shared_vertices(
     (check,) = [c for c in model.validate(model.parse_instance(doc)).checks
                 if c.name == "boundary_components"]
     assert [f for f in check.failures if " vs " in f] == expected
+
+
+def _all_pairs_failures(inst) -> list[str]:
+    """The edge-pair failures of the O(|E|^2) loop over every pair, the
+    oracle for validate's pruned pair check."""
+    recs = list(inst.edges.items())
+    fails = []
+    for i, (e1, r1) in enumerate(recs):
+        for e2, r2 in recs[i + 1:]:
+            shared = [inst.vertices[v] for v in r1.vertex_ids
+                      if v in r2.vertex_ids]
+            msg = model._edges_intersect_cleanly(r1, r2, shared)
+            if msg is not None:
+                fails.append(f"{e1} vs {e2}: {msg}")
+    return fails
+
+
+def _all_pairs_report(inst) -> dict:
+    """validate's report with the pair check run over every pair."""
+    def every_pair(recs):
+        return list(itertools.combinations(range(len(recs)), 2))
+    with mock.patch.object(model, "_pairs_that_can_meet", every_pair):
+        return model.validate(inst).to_json()
+
+
+def _pair_failures(report: dict) -> list[str]:
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "boundary_components"]
+    return [f for f in check["failures"] if " vs " in f]
+
+
+# small coordinates, some fractional, so that segments cross, overlap
+# along a line, touch at ends and have boxes that only touch
+_coords = st.one_of(st.integers(-3, 3),
+                    st.builds(lambda n, d: rat_to_json(Fraction(n, d)),
+                              st.integers(-9, 9), st.integers(1, 3)))
+_dirs = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda d: d != (0, 0)).map(list)
+
+
+@st.composite
+def _edge_soup(draw):
+    """An instance document of 2-9 segments, rays and lines between
+    random vertices, every edge between pieces P and Q."""
+    pts = draw(st.lists(st.tuples(_coords, _coords), min_size=2,
+                        max_size=7, unique_by=lambda q: tuple(
+                            Fraction(c) for c in q)))
+    vertices = {f"v{i}": list(q) for i, q in enumerate(pts)}
+    edges = {}
+    for k in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(["segment"] * 4 + ["ray", "line"]))
+        if kind == "segment":
+            a, b = draw(st.lists(st.sampled_from(sorted(vertices)),
+                                 min_size=2, max_size=2, unique=True))
+            e = _seg(a, b)
+        elif kind == "ray":
+            e = _ray(draw(st.sampled_from(sorted(vertices))), draw(_dirs))
+        else:
+            e = _line([draw(_coords), draw(_coords)], draw(_dirs))
+        edges[f"e{k}"] = dict(e, pieces=["P", "Q"])
+    return {"vertices": vertices, "edges": edges,
+            "pieces": {"P": {"affine": [0, 0, 0], "witness": ["1/7", "2/11"]},
+                       "Q": {"affine": [0, 0, 0], "witness": [17, -5]}}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_soup())
+def test_pruned_pair_check_matches_all_pairs(doc):
+    inst = model.parse_instance(doc)
+    got = model.validate(inst).to_json()
+    assert got == _all_pairs_report(model.parse_instance(doc))
+    assert _pair_failures(got) == _all_pairs_failures(inst)
+
+
+def _far_apart_doc(extra: dict, extra_vertices: dict) -> dict:
+    """A long segment "a0" from (0, 0) to (100, 0), eighteen short
+    vertical segments above it that meet nothing, and the extra edges,
+    which sort after all of them."""
+    vertices = {"p0": [0, 0], "p1": [100, 0]}
+    edges = {"a0": dict(_seg("p0", "p1"), pieces=["P", "Q"])}
+    for i in range(18):
+        vertices[f"s{i}"], vertices[f"t{i}"] = [5 * i + 3, 1], [5 * i + 3, 2]
+        edges[f"b{i:02}"] = dict(_seg(f"s{i}", f"t{i}"), pieces=["P", "Q"])
+    vertices.update(extra_vertices)
+    edges.update({k: dict(e, pieces=["P", "Q"]) for k, e in extra.items()})
+    return {"vertices": vertices, "edges": edges,
+            "pieces": {"P": {"affine": [0, 0, 0], "witness": ["1/7", "-1/3"]},
+                       "Q": {"affine": [0, 0, 0], "witness": ["1/7", -5]}}}
+
+
+@pytest.mark.parametrize("extra, extra_vertices, expected", [
+    # a crossing between the first edge and the last, far apart in both
+    # id order and the sweep's order of left box sides
+    ({"z": _seg("z0", "z1")}, {"z0": [97, -1], "z1": [97, 1]},
+     ["a0 vs z: edges cross at Point(x=Fraction(97, 1), y=Fraction(0, 1))"]),
+    # a ray from far left crossing a segment far to the right
+    ({"r": _ray("r0", [1, 0]), "w": _seg("w0", "w1")},
+     {"r0": [-1000, 11], "w0": [1000, 10], "w1": [1000, 12]},
+     ["r vs w: edges cross at Point(x=Fraction(1000, 1), "
+      "y=Fraction(11, 1))"]),
+    # collinear segments touching at a point that is a vertex of only
+    # one of them; with fractional ends the boxes still touch
+    ({"c": _seg("c0", "c1")}, {"c0": [100, 0], "c1": ["301/3", 0]},
+     ["a0 vs c: collinear edges touch at non-vertex "
+      "Point(x=Fraction(100, 1), y=Fraction(0, 1))"]),
+    # boxes that meet only at a corner
+    ({"k": _seg("k0", "k1")}, {"k0": [100, 0], "k1": ["201/2", -3]},
+     ["a0 vs k: edges cross at Point(x=Fraction(100, 1), "
+      "y=Fraction(0, 1))"]),
+], ids=["far_cross", "ray_cross", "collinear_touch", "corner_touch"])
+def test_pruned_pair_check_keeps_distant_meetings(extra, extra_vertices,
+                                                  expected):
+    doc = _far_apart_doc(extra, extra_vertices)
+    got = model.validate(model.parse_instance(doc)).to_json()
+    assert _pair_failures(got) == expected
+    assert got == _all_pairs_report(model.parse_instance(doc))
+
+
+@pytest.mark.parametrize("n_points, kept", [(40, 527), (80, 2029),
+                                            (160, 8911)])
+def test_pair_check_tests_few_pairs(n_points, kept):
+    """12%, 14% and 19% of the pairs at |E| = 96, 170 and 306."""
+    inst = model.parse_instance(corpus.random_instance(3, n_points))
+    recs = list(inst.edges.values())
+    assert len(model._pairs_that_can_meet(recs)) == kept
 
 
 def test_validate_probes_each_edge_twice_and_one_witness(monkeypatch):
