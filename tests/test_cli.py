@@ -160,13 +160,14 @@ def test_verify_error_names_the_bad_file(tmp_path, corpus_dir, capsys, which):
     assert cli.run(["compile", str(hat), "-o", str(net)]) == 0
     bad = tmp_path / "cut.json"
     bad.write_text("{")
+    good = net if which == "input" else hat
     inp, netf = (bad, net) if which == "input" else (hat, bad)
     capsys.readouterr()
     assert cli.run(["verify", str(inp), "--net", str(netf),
                     "--samples", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad} is not valid JSON")
-    assert str(inp if which == "net" else netf) not in err
+    assert str(good) not in err
 
 
 def test_written_files_are_indented_sorted_json(tmp_path, corpus_dir):
