@@ -711,11 +711,11 @@ def _chain_check(inst: CPAInstance, pid: str, comp: BoundaryComponent) -> list[s
 def validate(inst: CPAInstance) -> ValidationReport:
     """Run all instance admissibility checks and collect the outcomes.
 
-    Every check is exact; none samples, and all run on integer forms:
-    continuity on the pieces' AffineFunc.int_form at each edge's
-    homogeneous hull points, edge pairs and witnesses against the edges'
-    int_lines by integer signs alone; a point is constructed only to
-    report a failure.  Only the edge pairs _pairs_that_can_meet returns
+    Every check is exact; none samples, and the geometric ones run on
+    integer forms: continuity on the pieces' AffineFunc.int_form at each
+    edge's homogeneous hull points, edge pairs and witnesses against the
+    edges' int_lines by integer signs alone; a point is constructed only
+    to report a failure.  Only the edge pairs _pairs_that_can_meet returns
     are tested, in index order, so the failures keep the order of the
     all-pairs loop.  Witness separation probes the first piece's witness
     against each other piece, and the cover check orients every edge
