@@ -6,6 +6,7 @@ error (bad flags, or a file that cannot be read or written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -15,12 +16,12 @@ from fractions import Fraction
 from . import corpus as corpus_mod
 from .decompose import decompose, decomposition_to_json
 from .errors import CpaError, SchemaError
-from .geometry import rat_to_json, pt
+from .geometry import indented_json, pt, rat_to_json
 from .maxform import reduce as reduce_terms
 from .model import parse_instance, serialize_instance, sparsify, validate
 from .network import (EXACT, FLOAT64, build_network, eval_network,
                       export_network, import_network, stats)
-from .render import render_svg
+from .render import render_svg, stroke_width
 from .verify import verify_equivalence, verify_lemma_suite
 
 _MODES = {"exact": EXACT, "f64": FLOAT64}
@@ -52,7 +53,10 @@ def _rational(text: str) -> Fraction:
             f"bad rational {text!r}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: run() parses every call with
+    it, and argparse keeps no state from one parse to the next."""
     p = argparse.ArgumentParser(
         prog="cpa2relu",
         description="Compile continuous piecewise-affine functions on the "
@@ -108,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--width", type=_positive, default=640)
     c.add_argument("--height", type=_positive, default=640)
-    c.add_argument("--stroke", type=float, default=1.5)
+    c.add_argument("--stroke", type=stroke_width, default="1.5")
     c.add_argument("--viewport", nargs=4, type=_rational,
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
 
@@ -132,7 +136,7 @@ def _write_json(path: str, doc) -> None:
     """The document as indented, key-sorted JSON and a newline, in one
     write."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        fh.write(indented_json(doc) + "\n")
 
 
 def _load_instance(path: str):
@@ -159,7 +163,7 @@ def _validated(path: str):
 def _cmd_validate(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns.input)
     report = validate(inst)
-    print(json.dumps(report.to_json(), indent=1, sort_keys=True))
+    print(indented_json(report.to_json()))
     return 0 if report.ok else 1
 
 
@@ -231,7 +235,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 def _cmd_stats(ns: argparse.Namespace) -> int:
     net = import_network(_read_json(ns.network))
     st = stats(net, ns.pieces)
-    print(json.dumps(st, indent=1, sort_keys=True))
+    print(indented_json(st))
     return 0 if st["bounds_ok"] else 1
 
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import RetriesExhaustedError
-from .geometry import rat_to_json, sign
+from .geometry import indented_json, rat_to_json, sign
 from .model import parse_instance, serialize_instance, validate
 
 DEFAULT_RANDOM_SEED = 7
@@ -555,7 +555,6 @@ def all_documents(random_seed: int = DEFAULT_RANDOM_SEED) -> dict:
 
 def write_corpus(dirpath, random_seed: int = DEFAULT_RANDOM_SEED) -> list:
     """Write the whole corpus as canonical JSON files; returns the paths."""
-    import json
     import os
     os.makedirs(dirpath, exist_ok=True)
     paths = []
@@ -563,7 +562,6 @@ def write_corpus(dirpath, random_seed: int = DEFAULT_RANDOM_SEED) -> list:
         canonical = serialize_instance(parse_instance(doc))
         path = os.path.join(dirpath, f"{name}.json")
         with open(path, "w") as fh:
-            json.dump(canonical, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(indented_json(canonical) + "\n")
         paths.append(path)
     return paths

@@ -13,12 +13,18 @@ direction: from +x it sorts the edges at a vertex
 (ccw_sort_directions), from a fan's first ray it finds the sector
 holding a direction (sector_index).  orientation stays as the Fraction
 reference the tests check those integer predicates against.
+
+A rational is written to JSON as an int or a "num/den" string
+(rat_to_json), and every indented JSON document the package emits is
+the text of indented_json.
 """
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .errors import DuplicateDirectionError, SchemaError
@@ -47,9 +53,68 @@ def rat_from_json(value) -> Rat:
 
 def rat_to_json(r: Rat):
     """Serialize a rational as an int when possible, else "num/den"."""
-    if r.denominator == 1:
-        return int(r)
-    return f"{r.numerator}/{r.denominator}"
+    n, d = r.as_integer_ratio()
+    if d == 1:
+        return n
+    return f"{n}/{d}"
+
+
+# exact type -> JSON text of a scalar, a float as json itself writes it
+# (NaN and Infinity included); bool is its own type, never an int
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _value_text(v, indent: str) -> str:
+    scalar = _SCALAR_TEXT.get(type(v))
+    if scalar is not None:
+        return scalar(v)
+    inner = indent + " "
+    sep = ",\n" + inner
+    if type(v) is dict:
+        if not v:
+            return "{}"
+        keys = sorted(v)
+        for k in keys:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        return ("{\n" + inner + sep.join(
+            [encode_basestring_ascii(k) + ": " + _value_text(v[k], inner)
+             for k in keys]) + "\n" + indent + "}")
+    if type(v) is list or type(v) is tuple:
+        if not v:
+            return "[]"
+        if all([type(row) in (list, tuple) and row for row in v]):
+            # rows of scalars (a network's triplets) in one pass; a row
+            # holding a container or an unsupported value falls through
+            row_sep = sep + " "
+            head, tail = "[\n" + inner + " ", "\n" + inner + "]"
+            try:
+                return ("[\n" + inner + sep.join(
+                    [head + row_sep.join(
+                        [_SCALAR_TEXT[type(x)](x) for x in row]) + tail
+                     for row in v]) + "\n" + indent + "]")
+            except KeyError:
+                pass
+        return ("[\n" + inner + sep.join(
+            [_value_text(x, inner) for x in v]) + "\n" + indent + "]")
+    raise TypeError(
+        f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def indented_json(doc) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True), without the pure-Python
+    encoder that json runs whenever indent is set.
+
+    Takes dicts with str keys, lists, tuples, str, int, float, bool and
+    None, each by its exact type; raises TypeError on anything else.
+    """
+    return _value_text(doc, "")
 
 
 def sign(r) -> int:

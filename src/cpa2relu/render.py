@@ -7,6 +7,7 @@ floats only at the very last step, when formatting the SVG.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -43,6 +44,15 @@ def _clip_to_box(g: EdgeGeom, box: Box) -> Optional[Tuple[Point, Point]]:
     if lo is None or hi is None or lo > hi:
         return None
     return translate(base, d, lo), translate(base, d, hi)
+
+
+def stroke_width(text: str) -> float:
+    """The --stroke option's type: a positive finite line width.  A
+    ValueError makes argparse report a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"not a positive finite width: {text!r}")
+    return value
 
 
 def render_svg(inst: CPAInstance, *, width: int = 640, height: int = 640,

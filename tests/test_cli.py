@@ -1,7 +1,10 @@
 """End-to-end command-line runs, in process."""
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -170,23 +173,37 @@ def test_verify_error_names_the_bad_file(tmp_path, corpus_dir, capsys, which):
     assert str(good) not in err
 
 
-def test_written_files_are_indented_sorted_json(tmp_path, corpus_dir):
-    """compile, sparsify and decompose write json.dumps(doc, indent=1,
-    sort_keys=True) and a newline, the bytes json.dump streams."""
-    src = corpus_dir / "ring_bump.json"
-    slim = model.sparsify(model.parse_instance(src.read_bytes()))
-    dec = decompose(slim)
-    net = network.build_network(maxform.reduce(dec, slim.p))
-    docs = {"compile": network.export_network(net),
-            "sparsify": model.serialize_instance(slim),
-            "decompose": decomposition_to_json(dec)}
-    for sub, doc in docs.items():
-        out = tmp_path / f"{sub}.json"
-        assert cli.run([sub, str(src), "-o", str(out)]) == 0
-        want = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+def test_written_files_are_indented_sorted_json(tmp_path, corpus_dir,
+                                                compiled, capsys):
+    """compile (with and without --float-mirror), sparsify and decompose
+    write json.dumps(doc, indent=1, sort_keys=True) and a newline, the
+    bytes json.dump streams; validate and stats print the same text."""
+    def stdlib_text(doc):
         streamed = io.StringIO()
         json.dump(doc, streamed, indent=1, sort_keys=True)
-        assert out.read_text() == want == streamed.getvalue() + "\n"
+        want = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        assert want == streamed.getvalue() + "\n"
+        return want
+
+    for name, (inst, slim, dec, _, net) in compiled.items():
+        src = corpus_dir / f"{name}.json"
+        docs = {("compile",): network.export_network(net),
+                ("compile", "--float-mirror"): network.export_network(
+                    net, include_float=True),
+                ("sparsify",): model.serialize_instance(slim),
+                ("decompose",): decomposition_to_json(dec)}
+        for (sub, *flags), doc in docs.items():
+            out = tmp_path / f"{name}.{sub}{''.join(flags)}.json"
+            assert cli.run([sub, str(src), "-o", str(out), *flags]) == 0
+            assert out.read_text() == stdlib_text(doc), (name, sub, flags)
+        capsys.readouterr()
+        assert cli.run(["validate", str(src)]) == 0
+        want = stdlib_text(model.validate(inst).to_json())
+        assert capsys.readouterr().out == want, name
+        assert cli.run(["stats", str(tmp_path / f"{name}.compile.json"),
+                        "--pieces", str(inst.p)]) == 0
+        want = stdlib_text(network.stats(net, inst.p))
+        assert capsys.readouterr().out == want, name
 
 
 def test_verify_against_net_file_builds_no_network(tmp_path, corpus_dir,
@@ -288,6 +305,16 @@ def test_bad_arguments_are_usage_errors(corpus_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("stroke", ["nan", "inf", "0", "-1"])
+def test_stroke_must_be_positive_and_finite(tmp_path, corpus_dir, capsys,
+                                            stroke):
+    out = tmp_path / "hat.svg"
+    assert cli.run(["render", str(corpus_dir / "hat.json"), "-o", str(out),
+                    "--stroke", stroke]) == 2
+    assert "--stroke" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_of_no_samples_is_a_usage_error(corpus_dir, capsys):
     """Zero samples certify nothing: a usage error, not a failed check."""
     rc = cli.run(["verify", str(corpus_dir / "hat.json"), "--samples", "0"])
@@ -353,3 +380,35 @@ def test_seed_is_only_a_verify_and_corpus_flag(corpus_dir, capsys):
     for argv in (["validate", hat], ["compile", hat, "-o", "net.json"]):
         assert cli.run(argv + ["--seed", "3"]) == 2
     capsys.readouterr()
+
+
+def test_one_process_runs_many_calls_like_fresh_ones(tmp_path, corpus_dir,
+                                                     capsys, monkeypatch):
+    """The parser is built once per process; no call leaves state that
+    changes the exit code or output of a later one."""
+    hat = str(corpus_dir / "hat.json")
+    net = tmp_path / "hat.net.json"
+    assert cli.run(["compile", hat, "-o", str(net)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\x80")
+    calls = [
+        (["verify", hat, "--samples", "0"], 2),
+        (["eval", str(net)], 2),
+        (["eval", str(net), "--point", "-1/2", "3"], 0),
+        (["compile", hat, "-o", str(tmp_path / "again.net.json")], 0),
+        (["validate", str(bad)], 1),
+    ]
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    capsys.readouterr()
+    for argv, code in calls:
+        rc = cli.run(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "cpa2relu", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout,
+                                  fresh.stderr), argv
+        assert rc == code, argv

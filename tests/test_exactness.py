@@ -1,7 +1,8 @@
 """The package computes exactly: no float literal, no float() call and
 no tolerance anywhere in src/cpa2relu outside the opt-in float64 mirror
 (network's _float_form, _forward_float and the include_float part of
-export_network), the SVG renderer and the CLI's --stroke option."""
+export_network) and the SVG renderer, which also parses render's
+--stroke option."""
 import ast
 from pathlib import Path
 
@@ -17,14 +18,10 @@ TOLERANCES = {"isclose", "allclose", "approx"}
 def _exempt(module: str, node: ast.AST, func: str | None) -> bool:
     if isinstance(node, ast.FunctionDef):
         return (module, node.name) in EXEMPT_FUNCTIONS
-    if (module == "network.py" and func == "export_network"
+    return (module == "network.py" and func == "export_network"
             and isinstance(node, ast.If)
             and isinstance(node.test, ast.Name)
-            and node.test.id == "include_float"):
-        return True
-    return (module == "cli.py" and isinstance(node, ast.Call)
-            and any(isinstance(a, ast.Constant) and a.value == "--stroke"
-                    for a in node.args))
+            and node.test.id == "include_float")
 
 
 def inexact_sites(module: str, source: str) -> list[str]:
@@ -82,8 +79,6 @@ def test_every_exemption_names_code_that_exists():
         tree = ast.parse((SRC / module).read_text())
         assert any(isinstance(n, ast.FunctionDef) and n.name == func
                    for n in ast.walk(tree)), (module, func)
-    cli_src = (SRC / "cli.py").read_text()
-    assert '"--stroke"' in cli_src
     net_src = (SRC / "network.py").read_text()
     assert "    if include_float:\n" in net_src
     assert (SRC / "render.py").exists()

@@ -1,15 +1,16 @@
 """Exact-predicate properties: orientation, CCW sorting and sectors,
 homogeneous points, crossing parity, points on edges and clean edge
 intersections."""
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cpa2relu.geometry import (
     Direction, Line, Ray, Segment, ccw_sort_directions, cross, dot, dr,
-    edge_base, edge_direction, homogeneous, int_direction,
+    edge_base, edge_direction, homogeneous, indented_json, int_direction,
     orientation, pt, rat_from_json, rat_to_json, same_direction,
     sector_index, sub, translate,
 )
@@ -328,3 +329,51 @@ def test_rat_json_integer_stays_integer():
 def test_rat_json_rejects_non_rationals(bad):
     with pytest.raises(SchemaError):
         rat_from_json(bad)
+
+
+json_texts = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600')))
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 400, 10 ** 400), st.floats(), json_texts,
+    st.sampled_from([-0.0, 1e-7, 1e300, math.nan, math.inf, -math.inf]))
+flat_rows = st.one_of(st.lists(json_scalars, min_size=1, max_size=4),
+                      st.tuples(json_scalars, json_scalars))
+
+
+@st.composite
+def row_lists(draw, values):
+    """A list of flat scalar rows (an exported network's triplets), at
+    times with one empty or nested row among them."""
+    rows = draw(st.lists(flat_rows, min_size=1, max_size=6))
+    odd = draw(st.one_of(st.none(), st.sampled_from([[], (), ["x", []]]),
+                         st.lists(values, min_size=1, max_size=3)))
+    if odd is not None:
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+json_values = st.recursive(
+    json_scalars,
+    lambda values: st.one_of(
+        st.lists(values, max_size=4),
+        st.lists(values, max_size=4).map(tuple),
+        st.dictionaries(json_texts, values, max_size=4),
+        row_lists(values)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example([[], [[]], {}, {"": {}}, ()])
+@example({"triplets": [[0, 1, "1/2"], [1, True, None]], "x": [1, [2]]})
+def test_indented_json_is_the_stdlib_text(v):
+    assert indented_json(v) == json.dumps(v, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object(), [[1, {2}]], {"a": [object()]}])
+def test_indented_json_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        indented_json(bad)
