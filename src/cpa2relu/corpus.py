@@ -411,8 +411,10 @@ _WITNESS_WEIGHTS = ((4, 3, 2), (3, 4, 2), (2, 3, 4), (5, 2, 1), (1, 5, 2),
                     (2, 1, 5), (7, 3, 1), (1, 1, 1), (9, 5, 2), (2, 9, 5))
 
 
-def _off_all_lines(x: Fraction, y: Fraction, lines) -> bool:
-    return all(A * x + B * y + C != 0 for (A, B, C) in lines)
+def _off_all_lines(X: int, Y: int, W: int, lines) -> bool:
+    """Whether the point (X/W, Y/W), W > 0, lies on none of the integer
+    lines A*x + B*y + C = 0."""
+    return all(A * X + B * Y + C * W != 0 for (A, B, C) in lines)
 
 
 def random_instance(seed: int = DEFAULT_RANDOM_SEED, n_points: int = 10) -> dict:
@@ -511,11 +513,11 @@ def _random_attempt(rng: random.Random, n_points: int):
         pa, pb, pc = _plane_through(a, height[a], b, height[b], c, height[c])
         witness = None
         for wa, wb, wc in _WITNESS_WEIGHTS:
-            tot = wa + wb + wc
-            wx = Fraction(wa * a[0] + wb * b[0] + wc * c[0], tot)
-            wy = Fraction(wa * a[1] + wb * b[1] + wc * c[1], tot)
-            if _off_all_lines(wx, wy, lines):
-                witness = (wx, wy)
+            X = wa * a[0] + wb * b[0] + wc * c[0]
+            Y = wa * a[1] + wb * b[1] + wc * c[1]
+            W = wa + wb + wc
+            if _off_all_lines(X, Y, W, lines):
+                witness = (Fraction(X, W), Fraction(Y, W))
                 break
         if witness is None:
             return None
@@ -530,9 +532,9 @@ def _random_attempt(rng: random.Random, n_points: int):
     ymax = max(p[1] for p in used)
     out_w = None
     for t in range(64):
-        cand = (Fraction(2 * xmax + 1 + t), Fraction(2 * ymax + 2 + 3 * t))
-        if _off_all_lines(cand[0], cand[1], lines):
-            out_w = cand
+        X, Y = 2 * xmax + 1 + t, 2 * ymax + 2 + 3 * t
+        if _off_all_lines(X, Y, 1, lines):
+            out_w = (Fraction(X), Fraction(Y))
             break
     if out_w is None:
         return None

@@ -15,12 +15,19 @@ a line; it decides the crossings in _parity and the edge-pair check in
 validate.  _parity, _member_core and edges_at take points in that
 homogeneous form, so eval_cpa converts its sample once for every edge
 and every piece.
+
+eval_cpa asks _member_core only of the pieces that can hold its sample.
+_piece_boxes gives a piece an integer bounding box when its boundary is
+closed, made of segments alone, and keeps the far point out; such a
+piece holds no point outside its box, so a sample outside it is skipped
+exactly.  A piece without a box is always asked.
 """
 from __future__ import annotations
 
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -188,6 +195,7 @@ class CPAInstance:
         self._stars: dict[str, tuple[tuple, list]] = {}  # for sides
         self._conic_coeffs: dict = {}  # piece id -> sides.ConicCoeff
         self._bbox: tuple[Rat, Rat, Rat, Rat] | None = None
+        self._boxes: list | None = None  # _piece_boxes
 
     @property
     def p(self) -> int:
@@ -550,13 +558,62 @@ def _pieces_at(inst: CPAInstance, x: Point,
     return found
 
 
+def _piece_boxes(inst: CPAInstance) -> list[tuple[str, tuple | None]]:
+    """One (pid, box) pair per piece, in piece order, built on first use
+    and cached on the instance.  box is the piece's integer bounding box
+    (floor xmin, floor ymin, ceil xmax, ceil ymax) over the ends of its
+    edges, or None when the piece may hold points outside it.
+
+    A piece gets a box only when all three of these hold:
+    - every edge of the piece is a Segment;
+    - every end point of those segments is the end of an even number of
+      them, so the boundary is closed (a cycle mod 2);
+    - _member_core puts the far point, the point beyond inst.bbox() that
+      sides.point_in_cycle also uses, outside the piece.  Segment ends
+      are vertices, which bbox() covers, so the far point lies outside
+      every box.
+
+    Such a piece holds no point outside its box.  The plane minus the
+    closed box is connected and meets no edge of the piece.  Two points
+    joined by a path that crosses no edge get the same crossing parity
+    to the witness (_parity): the two parities differ by the crossings
+    of a closed curve with a closed boundary, an even number.  So every
+    point outside the box gets the far point's answer: not in the
+    piece.  The even-degree condition keeps this true on unvalidated
+    input, where a dangling segment would make the parity depend on the
+    path taken; the far-point condition leaves out a piece that holds
+    everything outside a closed boundary, such as an outer piece.
+    """
+    if inst._boxes is not None:
+        return inst._boxes
+    bx = inst.bbox()
+    far = homogeneous(Point(bx[2] + 1, bx[3] + 2))
+    boxes = []
+    for pid, recs in inst.piece_recs.items():
+        ends = [h for e in recs for h in e.ends]
+        box = None
+        if (all(isinstance(e.geom, Segment) for e in recs)
+                and all(k % 2 == 0 for k in Counter(ends).values())
+                and not _member_core(inst, pid, far)):
+            box = (min(X // W for X, _, W in ends),
+                   min(Y // W for _, Y, W in ends),
+                   max(-(-X // W) for X, _, W in ends),
+                   max(-(-Y // W) for _, Y, W in ends))
+        boxes.append((pid, box))
+    inst._boxes = boxes
+    return boxes
+
+
 def eval_cpa(inst: CPAInstance, x: Point) -> Rat:
     """Exact value of the instance's function at x.
 
     Points on edges are evaluated through every incident piece and the
     values are cross-checked; interior points go through the membership
-    oracle.  x is converted to homogeneous form once, for every edge and
-    every piece.
+    oracle, _member_core, which is asked only of the pieces whose box
+    (_piece_boxes) holds x, ends included, and of the pieces without a
+    box.  A piece holds no point outside its box, so skipping it there
+    changes no answer.  x is converted to homogeneous form once, for
+    every edge, box and piece.
     """
     hx = homogeneous(x)
     touching = _pieces_at(inst, x, hx)
@@ -566,7 +623,15 @@ def eval_cpa(inst: CPAInstance, x: Point) -> Rat:
             raise ContinuityError(
                 f"incident pieces disagree at {x}: {sorted(touching.items())}")
         return vals.pop()
-    matches = [pid for pid in inst.pieces if _member_core(inst, pid, hx)]
+    X, Y, W = hx
+    matches = []
+    for pid, box in _piece_boxes(inst):
+        if box is not None:
+            xlo, ylo, xhi, yhi = box
+            if not (xlo * W <= X <= xhi * W and ylo * W <= Y <= yhi * W):
+                continue
+        if _member_core(inst, pid, hx):
+            matches.append(pid)
     if len(matches) != 1:
         raise NoPieceFoundError(
             f"point {x} lies in {len(matches)} pieces; the cover is broken")

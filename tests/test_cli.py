@@ -382,6 +382,20 @@ def test_seed_is_only_a_verify_and_corpus_flag(corpus_dir, capsys):
     capsys.readouterr()
 
 
+def test_verify_reports_an_explicit_seed(corpus_dir, capsys):
+    rc = cli.run(["verify", str(corpus_dir / "hat.json"), "--samples", "20",
+                  "--seed", "5"])
+    assert rc == 0
+    assert "seed: 5  certified: yes" in capsys.readouterr().out
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert cli.run(["corpus", "-o", str(out), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_one_process_runs_many_calls_like_fresh_ones(tmp_path, corpus_dir,
                                                      capsys, monkeypatch):
     """The parser is built once per process; no call leaves state that

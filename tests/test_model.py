@@ -13,9 +13,9 @@ from cpa2relu import corpus, maxform, model, network
 from cpa2relu.decompose import decompose
 from cpa2relu.errors import (
     ContinuityError, DanglingRefError, DuplicateDirectionError,
-    InvalidInputError, SchemaError,
+    InvalidInputError, NoPieceFoundError, SchemaError,
 )
-from cpa2relu.geometry import Line, Segment, pt, rat_to_json
+from cpa2relu.geometry import Line, Segment, homogeneous, pt, rat_to_json
 from cpa2relu.verify import (
     sample_general_position, verify_equivalence, verify_lemma_suite,
 )
@@ -432,6 +432,133 @@ def test_eval_detects_torn_instances(corpus_docs):
     broken = model.parse_instance(doc)
     with pytest.raises(ContinuityError):
         model.eval_cpa(broken, pt(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_broken_cover_raises_no_piece_found(corpus_docs):
+    # NE's witness moved into NW: a point of NE now lies in no piece, and
+    # a point of NW in both NW and NE
+    doc = copy.deepcopy(corpus_docs["hat"])
+    doc["pieces"]["NE"]["witness"] = doc["pieces"]["NW"]["witness"]
+    broken = model.parse_instance(doc)
+    with pytest.raises(NoPieceFoundError, match="lies in 0 pieces"):
+        model.eval_cpa(broken, pt(Fraction(1, 3), Fraction(1, 5)))
+    with pytest.raises(NoPieceFoundError, match="lies in 2 pieces"):
+        model.eval_cpa(broken, pt(Fraction(-1, 4), Fraction(1, 4)))
+
+
+def _full_scan(inst, x):
+    """eval_cpa without the box prune: the on-edge path, then every piece
+    through _member_core."""
+    hx = homogeneous(x)
+    touching = model._pieces_at(inst, x, hx)
+    if touching:
+        vals = set(touching.values())
+        if len(vals) != 1:
+            raise ContinuityError("incident pieces disagree")
+        return vals.pop()
+    matches = [pid for pid in inst.pieces if model._member_core(inst, pid, hx)]
+    if len(matches) != 1:
+        raise NoPieceFoundError("the cover is broken")
+    return inst.pieces[matches[0]].affine(x)
+
+
+def _outcome(f, inst, x):
+    try:
+        return f(inst, x)
+    except (ContinuityError, NoPieceFoundError) as exc:
+        return type(exc)
+
+
+def _probe_points(inst):
+    """Sampled points, far points, the vertices, and for every piece box
+    two opposite corners, the side midpoints and points just outside
+    each side."""
+    pts = sample_general_position(inst, 0, 40)
+    big = 10 ** 6
+    pts += [pt(a * big + Fraction(1, 3), b * big - Fraction(2, 7))
+            for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    pts += [pt(big, big), pt(-big, 7), pt(5, -big)]
+    pts += list(inst.vertices.values())
+    for _, box in model._piece_boxes(inst):
+        if box is None:
+            continue
+        xlo, ylo, xhi, yhi = box
+        xm, ym = Fraction(xlo + xhi, 2), Fraction(ylo + yhi, 2)
+        h = Fraction(1, 3)
+        pts += [pt(xlo, ylo), pt(xhi, yhi), pt(xlo, ym), pt(xhi, ym),
+                pt(xm, ylo), pt(xm, yhi), pt(xlo - h, ym), pt(xhi + h, ym),
+                pt(xm, ylo - h), pt(xm, yhi + h)]
+    return pts
+
+
+def _with_dangling_segment(doc):
+    """A copy whose piece t0 lists one more segment, from one of its
+    vertices far out to a new vertex: t0's boundary is no longer closed,
+    and a point past that segment, seen from t0's witness, has even
+    parity to the witness although it lies far outside t0."""
+    doc = copy.deepcopy(doc)
+    t0 = doc["pieces"]["t0"]
+    v = doc["edges"][t0["boundary"][0]["edges"][0]]["a"]
+    vx, vy = (Fraction(c) for c in doc["vertices"][v])
+    doc["vertices"]["vd"] = [rat_to_json(vx - 997), rat_to_json(vy - 1009)]
+    doc["edges"]["dangling"] = {"kind": "segment", "a": v, "b": "vd",
+                                "pieces": ["t0", "out"]}
+    t0["boundary"].append({"kind": "cycle", "edges": ["dangling"]})
+    wx, wy = (Fraction(c) for c in t0["witness"])
+    mx, my = vx - Fraction(997, 2), vy - Fraction(1009, 2)
+    shadow = pt(wx + 10 * (mx - wx), wy + 10 * (my - wy))
+    return doc, shadow
+
+
+def _with_moved_witness(doc):
+    """A copy whose piece t0 takes the witness of a neighbour."""
+    doc = copy.deepcopy(doc)
+    e = doc["edges"][doc["pieces"]["t0"]["boundary"][0]["edges"][0]]
+    other = e["pieces"][1] if e["pieces"][0] == "t0" else e["pieces"][0]
+    doc["pieces"]["t0"]["witness"] = doc["pieces"][other]["witness"]
+    return doc
+
+
+def _box_prune_cases(corpus_docs):
+    for name, doc in sorted(corpus_docs.items()):
+        inst = model.parse_instance(doc)
+        yield name, inst, []
+        yield name + "/sparsified", model.sparsify(inst), []
+    for s in (3, 5, 9):
+        for n in (10, 20, 40):
+            doc = corpus.random_instance(s, n)
+            yield f"random({s}, {n})", model.parse_instance(doc), []
+            dangling, shadow = _with_dangling_segment(doc)
+            yield (f"random({s}, {n})/dangling", model.parse_instance(dangling),
+                   [shadow])
+            yield (f"random({s}, {n})/moved witness",
+                   model.parse_instance(_with_moved_witness(doc)), [])
+
+
+def test_box_prune_changes_no_answer(corpus_docs):
+    """eval_cpa skips the pieces whose box misses the point; a full scan
+    of every piece gives the same value or raises the same error, on
+    valid instances and on broken ones."""
+    boxed = 0
+    for name, inst, extra in _box_prune_cases(corpus_docs):
+        boxed += sum(box is not None for _, box in model._piece_boxes(inst))
+        for x in _probe_points(inst) + extra:
+            assert (_outcome(model.eval_cpa, inst, x)
+                    == _outcome(_full_scan, inst, x)), (name, x)
+    assert boxed > 300
+
+
+def test_piece_boxes_need_a_closed_boundary_without_the_far_point(
+        corpus_insts):
+    boxes = dict(model._piece_boxes(corpus_insts["square_hole"]))
+    # the outer piece has only segments, but holds every far point
+    assert boxes["O"] is None and boxes["S"] == (0, 0, 1, 1)
+    hat = dict(model._piece_boxes(corpus_insts["hat"]))
+    assert hat["NE"] == (0, 0, 1, 1) and hat["OUT"] is None
+    assert all(box is None for _, box
+               in model._piece_boxes(corpus_insts["strip"]))
+    doc, _ = _with_dangling_segment(corpus.random_instance(3, 10))
+    assert dict(model._piece_boxes(model.parse_instance(doc)))["t0"] is None
 
 
 def test_sampler_stays_off_hulls(corpus_insts):
