@@ -3,7 +3,7 @@ on the plane into depth-3 ReLU networks, with rational-arithmetic
 verification of every intermediate step.
 """
 from .decompose import (Decomposition, EdgePair, Fan, decompose,
-                        eval_decomposition, eval_fan)
+                        eval_decomposition)
 from .errors import *  # noqa: F401,F403
 from .geometry import Direction, Line, Point, Ray, Segment, pt
 from .maxform import MaxTerm, TermList, reduce

@@ -128,7 +128,7 @@ def _read_json(path: str):
         data = fh.read()
     try:
         return json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or bytes, too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

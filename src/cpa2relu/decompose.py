@@ -39,8 +39,6 @@ from .geometry import (
 from .model import AffineFunc, CPAInstance, edge_sides, vertex_star
 from .sides import conic_coeff
 
-_ZERO_AFFINE = AffineFunc(Fraction(0), Fraction(0), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Fan:
@@ -214,7 +212,7 @@ def decompose(inst: CPAInstance) -> Decomposition:
     pairs = tuple(build_edge_function(inst, eid)
                   for eid in sorted(inst.edges)
                   if not isinstance(inst.edges[eid].geom, Ray))
-    tail = _ZERO_AFFINE
+    tail = AffineFunc(Fraction(0), Fraction(0), Fraction(0))
     for pid in sorted(inst.pieces):
         c = conic_coeff(inst, pid).c
         if c:
@@ -253,11 +251,6 @@ def eval_decomposition(dec: Decomposition, x: Point) -> Rat:
     X, Y, W = homogeneous(x)
     L, fans, pairs, tail = dec.kernel_form
     return Fraction(eval_blocks(fans, pairs, tail, X, Y, W), L * W)
-
-
-def eval_fan(fan: Fan, x: Point) -> Rat:
-    """Value of the fan alone at x: a one-block eval_decomposition."""
-    return eval_decomposition(Decomposition((fan,), (), _ZERO_AFFINE), x)
 
 
 # ---------------------------------------------------------------------------

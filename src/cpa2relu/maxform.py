@@ -68,15 +68,6 @@ class MaxTerm:
                 "sigma2": self.sigma2, "f2": self.f2.to_json(),
                 "f3": self.f3.to_json()}
 
-    @classmethod
-    def from_json(cls, doc) -> "MaxTerm":
-        s1, s2 = doc["sigma1"], doc["sigma2"]
-        if s1 not in (-1, 1) or s2 not in (-1, 1):
-            raise ValueError(f"bad signs {s1}, {s2}")
-        return cls(s1, AffineFunc.from_json(doc["f1"]), s2,
-                   AffineFunc.from_json(doc["f2"]),
-                   AffineFunc.from_json(doc["f3"]))
-
 
 @dataclass(frozen=True)
 class TermList:
@@ -110,11 +101,6 @@ class TermList:
     def to_json(self) -> dict:
         return {"source_p": self.source_p,
                 "terms": [t.to_json() for t in self.terms]}
-
-    @classmethod
-    def from_json(cls, doc) -> "TermList":
-        return cls(tuple(MaxTerm.from_json(t) for t in doc["terms"]),
-                   int(doc["source_p"]))
 
 
 def eval_terms(L, terms, X, Y, W):

@@ -249,7 +249,7 @@ def parse_instance(doc) -> CPAInstance:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or bytes, too many digits
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -558,6 +558,14 @@ def _pieces_at(inst: CPAInstance, x: Point,
     return found
 
 
+def far_point(inst: CPAInstance) -> tuple[int, int, int]:
+    """(xmax + 1, ymax + 2) of inst.bbox() in homogeneous form: outside
+    every region bounded by segments alone, whose vertices bbox() covers,
+    so outside each piece box and each cycle (sides.point_in_cycle)."""
+    bx = inst.bbox()
+    return homogeneous(Point(bx[2] + 1, bx[3] + 2))
+
+
 def _piece_boxes(inst: CPAInstance) -> list[tuple[str, tuple | None]]:
     """One (pid, box) pair per piece, in piece order, built on first use
     and cached on the instance.  box is the piece's integer bounding box
@@ -568,10 +576,8 @@ def _piece_boxes(inst: CPAInstance) -> list[tuple[str, tuple | None]]:
     - every edge of the piece is a Segment;
     - every end point of those segments is the end of an even number of
       them, so the boundary is closed (a cycle mod 2);
-    - _member_core puts the far point, the point beyond inst.bbox() that
-      sides.point_in_cycle also uses, outside the piece.  Segment ends
-      are vertices, which bbox() covers, so the far point lies outside
-      every box.
+    - _member_core puts far_point, which lies outside every box, outside
+      the piece.
 
     Such a piece holds no point outside its box.  The plane minus the
     closed box is connected and meets no edge of the piece.  Two points
@@ -586,8 +592,7 @@ def _piece_boxes(inst: CPAInstance) -> list[tuple[str, tuple | None]]:
     """
     if inst._boxes is not None:
         return inst._boxes
-    bx = inst.bbox()
-    far = homogeneous(Point(bx[2] + 1, bx[3] + 2))
+    far = far_point(inst)
     boxes = []
     for pid, recs in inst.piece_recs.items():
         ends = [h for e in recs for h in e.ends]

@@ -35,7 +35,7 @@ from functools import cached_property
 from math import lcm
 from typing import Dict, Tuple
 
-from .errors import EmptyTermListError, SchemaError
+from .errors import CpaError, EmptyTermListError, SchemaError
 from .geometry import Point, Rat, homogeneous, rat_from_json, rat_to_json
 from .maxform import TermList
 
@@ -88,14 +88,6 @@ class ReluNetwork:
             raise ValueError("hidden widths must be (5N, 3N)")
 
     @property
-    def input_dim(self) -> int:
-        return 2
-
-    @property
-    def output_dim(self) -> int:
-        return 1
-
-    @property
     def widths(self) -> Tuple[int, int]:
         return self.layers[0].rows, self.layers[1].rows
 
@@ -130,8 +122,8 @@ class ReluNetwork:
 
     @cached_property
     def float_form(self):
-        """The layers as float rows for the float64 mirror, built on
-        first float64 evaluation.  Not a field either."""
+        """Each layer as (sorted float triplets, float bias), built on
+        first float64 evaluation or export.  Not a field either."""
         return _float_form(self)
 
 
@@ -271,16 +263,23 @@ def forward_layers(first, second, out, scale, X, Y, W):
 
 def _float_form(net: ReluNetwork):
     out = []
-    for layer in net.layers:
-        trips = sorted((r, c, float(w)) for (r, c), w in layer.weights.items())
-        out.append((layer.rows, trips, [float(b) for b in layer.bias]))
+    try:
+        for layer in net.layers:
+            trips = sorted((r, c, float(w))
+                           for (r, c), w in layer.weights.items())
+            out.append((trips, [float(b) for b in layer.bias]))
+    except OverflowError as exc:
+        raise CpaError(f"a weight is beyond float64 range: {exc}") from None
     return out
 
 
 def _forward_float(flayers, x: Point) -> float:
-    vals = [float(x.x), float(x.y)]
+    try:
+        vals = [float(x.x), float(x.y)]
+    except OverflowError as exc:
+        raise CpaError(f"the point is beyond float64 range: {exc}") from None
     last = len(flayers) - 1
-    for li, (rows, trips, bias) in enumerate(flayers):
+    for li, (trips, bias) in enumerate(flayers):
         acc = list(bias)
         for r, c, w in trips:
             acc[r] += w * vals[c]
@@ -332,18 +331,9 @@ def export_network(net: ReluNetwork, include_float: bool = False) -> dict:
         ],
     }
     if include_float:
-        doc["float_mirror"] = {
-            "layers": [
-                {
-                    "triplets": [
-                        [r, c, float(w)]
-                        for (r, c), w in sorted(layer.weights.items())
-                    ],
-                    "bias": [float(b) for b in layer.bias],
-                }
-                for layer in net.layers
-            ],
-        }
+        doc["float_mirror"] = {"layers": [
+            {"triplets": [list(t) for t in trips], "bias": list(bias)}
+            for trips, bias in net.float_form]}
     return doc
 
 

@@ -13,9 +13,8 @@ sign of the edge's line (model.EdgeRec.line) at the point's
 homogeneous (X, Y, W) with geometry.line_sign.  Summing their indicators
 (lines positive, segments negative) plus the correction constant c(P)
 reproduces the indicator of P at every general-position point;
-indicator_identity_check tests exactly that.  It converts the point to
-(X, Y, W) once and hands that form to every cone, half-plane and
-membership test; the public tests below take a Point and convert it.
+indicator_identity_check tests exactly that, converting the point to
+(X, Y, W) once for every test.
 """
 from __future__ import annotations
 
@@ -40,21 +39,15 @@ from .model import (
     _parity,
     edge_sides,
     edges_at,
+    far_point,
     vertex_star,
 )
 
 
-def member(inst: CPAInstance, piece_id: str, x: Point) -> bool:
-    """True iff x belongs to the (closed) piece, decided by crossing
-    parity of the segment from x to the piece's witness.
-
-    Boundary points are refused with OnBoundaryError; use eval_cpa for
-    function values there.
-    """
-    return _member(inst, piece_id, homogeneous(x))
-
-
 def _member(inst: CPAInstance, piece_id: str, hx: tuple) -> bool:
+    """Whether (X/W, Y/W) lies in the closed piece, by crossing parity to
+    its witness.  A boundary point raises OnBoundaryError; eval_cpa
+    evaluates there."""
     on = edges_at(inst, hx, inst.piece_edges[piece_id])
     if on:
         raise OnBoundaryError(f"{from_homogeneous(hx)} lies on edge {on[0]} "
@@ -78,22 +71,11 @@ def _star(inst: CPAInstance, vertex_id: str) -> tuple[tuple, list, tuple]:
     return cached
 
 
-def vertex_cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
-                         x: Point) -> bool:
-    """Whether x lies in the piece's cone at the vertex: whether the
-    sector of the vertex's full star (model.vertex_star) that holds
-    x - v belongs to the piece.
-
-    x at the vertex, or along one of the piece's own edges there (the
-    boundary of its cone), raises GeneralPositionError; x along another
-    piece's edge lies outside the cone, since both sides of that edge
-    belong to other pieces.
-    """
-    return _cone_contains(inst, piece_id, vertex_id, homogeneous(x))
-
-
 def _cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
                    hx: tuple) -> bool:
+    """Whether x = (X/W, Y/W) lies in the piece's cone at the vertex.  x
+    at the vertex or along the piece's own edges there raises
+    GeneralPositionError; x along another piece's edge lies outside."""
     if vertex_id not in inst.piece_vertices[piece_id]:
         raise InvalidInputError(
             f"vertex {vertex_id} is not on the boundary of piece {piece_id}")
@@ -114,14 +96,9 @@ def _cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
 # ---------------------------------------------------------------------------
 # Edge half-planes
 
-def edge_halfplane_contains(inst: CPAInstance, piece_id: str, edge_id: str,
-                            x: Point) -> bool:
-    """Whether x lies on the piece's side of the edge's affine hull."""
-    return _halfplane_contains(inst, piece_id, edge_id, homogeneous(x))
-
-
 def _halfplane_contains(inst: CPAInstance, piece_id: str, edge_id: str,
                         hx: tuple) -> bool:
+    """Whether (X/W, Y/W) lies on the piece's side of the edge's hull."""
     left, right = edge_sides(inst, edge_id)
     if piece_id not in (left, right):
         raise InvalidInputError(f"edge {edge_id} does not bound piece {piece_id}")
@@ -146,11 +123,9 @@ class ConicCoeff:
 def point_in_cycle(inst: CPAInstance, cycle_edges, x: Point) -> bool:
     """Whether x lies inside the closed region bounded by a single cycle
     of segment edges (crossing parity against that cycle alone, on the
-    segment to a point outside the instance's bounding box)."""
-    box = inst.bbox()
-    far = Point(box[2] + 1, box[3] + 2)
+    segment to model.far_point, which lies outside the region)."""
     return _parity([inst.edges[eid] for eid in cycle_edges], homogeneous(x),
-                   homogeneous(far)) == 1
+                   far_point(inst)) == 1
 
 
 def conic_coeff(inst: CPAInstance, piece_id: str) -> ConicCoeff:

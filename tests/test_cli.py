@@ -155,6 +155,44 @@ def test_truncated_instance_file_error_names_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_over_long_integer_error_names_the_file(tmp_path, capsys):
+    """json.loads refuses an integer literal over Python's digit limit
+    (4300 by default) with a plain ValueError."""
+    bad = tmp_path / "long.json"
+    bad.write_text('{"vertices": {"v": [' + "1" * 5000 + ", 0]}}")
+    assert cli.run(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid JSON")
+    assert "digits" in err and "Traceback" not in err
+
+
+def test_float64_range_is_a_data_error(tmp_path, corpus_dir, capsys):
+    """A weight or a point beyond float64 range fails the float64 mirror
+    with exit 1; the exact path still takes them."""
+    plain = tmp_path / "half_plane.net.json"
+    assert cli.run(["compile", str(corpus_dir / "half_plane.json"),
+                    "-o", str(plain)]) == 0
+    doc = json.loads((corpus_dir / "half_plane.json").read_text())
+    doc["pieces"]["R"]["affine"] = [10**400, 0, 0]  # continuous across x = 0
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps(doc))
+    net = tmp_path / "steep.net.json"
+    capsys.readouterr()
+    assert cli.run(["compile", str(steep), "-o", str(net),
+                    "--float-mirror"]) == 1
+    assert not net.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "beyond float64 range" in err
+    assert cli.run(["compile", str(steep), "-o", str(net)]) == 0
+    assert cli.run(["eval", str(net), "--point", "1", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == str(10**400)
+    for path, x in ((net, "1"), (plain, "1e400")):
+        assert cli.run(["eval", str(path), "--point", x, "0",
+                        "--mode", "f64"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond float64 range" in err
+
+
 @pytest.mark.parametrize("which", ["input", "net"])
 def test_verify_error_names_the_bad_file(tmp_path, corpus_dir, capsys, which):
     """verify reads two files; a broken one is named, not the other."""

@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cpa2relu import corpus, maxform, model
 from cpa2relu.decompose import (
     EdgePair, Fan, build_edge_function, build_vertex_function, decompose,
-    Decomposition, decomposition_to_json, eval_decomposition, eval_fan,
-    validate_fan,
+    Decomposition, decomposition_to_json, eval_decomposition, validate_fan,
 )
 from cpa2relu.errors import ContinuityError, InvalidInputError
 from cpa2relu.geometry import Line, Ray, Segment, dr, pt
@@ -19,6 +18,11 @@ from cpa2relu.verify import sample_general_position
 
 def aff(a, b, c) -> AffineFunc:
     return AffineFunc(Fraction(a), Fraction(b), Fraction(c))
+
+
+def fan_value(fan: Fan, x) -> Fraction:
+    """The fan alone at x: a one-fan eval_decomposition."""
+    return eval_decomposition(Decomposition((fan,), (), aff(0, 0, 0)), x)
 
 
 def test_max_zero_xy_fan_is_frozen(compiled):
@@ -85,9 +89,9 @@ def test_eval_fan_is_continuous_across_rays(compiled):
     _, _, dec, _, _ = compiled["cross"]
     (fan,) = dec.fans
     # points on the rays themselves still evaluate consistently
-    assert eval_fan(fan, pt(2, 0)) == 2
-    assert eval_fan(fan, pt(0, -3)) == 3
-    assert eval_fan(fan, pt(0, 0)) == 0
+    assert fan_value(fan, pt(2, 0)) == 2
+    assert fan_value(fan, pt(0, -3)) == 3
+    assert fan_value(fan, pt(0, 0)) == 0
 
 
 def test_eval_fan_puts_a_point_on_ray_i_in_sector_i():
@@ -98,11 +102,11 @@ def test_eval_fan_puts_a_point_on_ray_i_in_sector_i():
     for shift in (0, 1, 2):
         fan = Fan(c, rays[shift:] + rays[:shift],
                   tuple(aff(0, 0, k) for k in range(3)))
-        assert eval_fan(fan, c) == 0
+        assert fan_value(fan, c) == 0
         for i, d in enumerate(fan.rays):
             x = pt(c.x + Fraction(d.dx, 3), c.y + Fraction(d.dy, 3))
-            assert eval_fan(fan, x) == i
-        assert eval_fan(fan, pt(2, 2)) == (0 - shift) % 3
+            assert fan_value(fan, x) == i
+        assert fan_value(fan, pt(2, 2)) == (0 - shift) % 3
 
 
 def test_eval_edge_pair_takes_the_plus_side_on_the_boundary():

@@ -10,11 +10,16 @@ degree 25, against 6 in the corpus.  For random_instance(s, n) with s in
 draw (one vertex moved, one witness put on a vertex) are pinned, so the
 reduction's and validate's failure messages and their order are fixed.
 A change that alters any of these bytes must say so and update the
-digest.
+digest.  The benchmark in pipebench/ pins names as well: every package
+function it looks up must still exist.
 """
+import ast
 import hashlib
+import importlib
 import json
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +205,22 @@ def test_random_draw_terms_and_reports_are_byte_identical(seed, n_points):
     assert not report.ok
     got = (_sha(terms.to_json()), _sha(report.to_json()))
     assert got == DRAW_DIGESTS[seed, n_points]
+
+
+def test_every_name_the_benchmark_uses_exists(monkeypatch):
+    """pipebench imports the package's functions by name and wraps them
+    in spans; a deleted one fails here, not only in its self-test."""
+    bench = Path(__file__).resolve().parents[1] / "pipebench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    assert all(callable(fn) for _, _, fn in spans.originals())
+    # every module.name the workloads read, function bodies included
+    for node in ast.walk(ast.parse((bench / "workloads.py").read_text())):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)):
+            continue
+        mod = getattr(workloads, node.value.id, None)
+        if (isinstance(mod, types.ModuleType)
+                and mod.__name__.startswith("cpa2relu")):
+            assert hasattr(mod, node.attr), (mod.__name__, node.attr)

@@ -87,7 +87,7 @@ def test_widths_and_dims(compiled):
     for name, (_, _, _, tl, net) in compiled.items():
         n = len(tl.terms)
         assert net.widths == (5 * n, 3 * n), name
-        assert net.input_dim == 2 and net.output_dim == 1
+        assert net.layers[0].cols == 2 and net.layers[2].rows == 1
 
 
 def test_stats_ring_bump(compiled):

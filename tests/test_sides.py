@@ -9,7 +9,8 @@ import pytest
 
 from cpa2relu import model, sides
 from cpa2relu.errors import GeneralPositionError, OnBoundaryError
-from cpa2relu.geometry import cross, pt, same_direction, sub, translate
+from cpa2relu.geometry import (cross, homogeneous, pt, same_direction, sub,
+                               translate)
 from cpa2relu.sides import ConicCoeff
 from cpa2relu.verify import sample_general_position
 
@@ -82,41 +83,41 @@ def test_membership_of_witnesses(corpus_insts):
     inst = corpus_insts["hat"]
     for pid, piece in inst.pieces.items():
         for qid in inst.pieces:
-            assert sides.member(inst, qid, piece.witness) == (qid == pid)
+            assert sides._member(inst, qid, homogeneous(piece.witness)) == (qid == pid)
 
 
 def test_membership_refuses_boundary_points(corpus_insts):
     inst = corpus_insts["hat"]
     for pid in ("NE", "SE"):
         with pytest.raises(OnBoundaryError, match="sp_e"):
-            sides.member(inst, pid, pt(Fraction(1, 2), 0))
+            sides._member(inst, pid, homogeneous(pt(Fraction(1, 2), 0)))
     with pytest.raises(OnBoundaryError):
-        sides.member(inst, "NE", pt(0, 0))
+        sides._member(inst, "NE", homogeneous(pt(0, 0)))
     # on sp_e's hull, past its end at (1, 0)
-    assert not sides.member(inst, "NE", pt(2, 0))
-    assert sides.member(inst, "OUT", pt(2, 0))
+    assert not sides._member(inst, "NE", homogeneous(pt(2, 0)))
+    assert sides._member(inst, "OUT", homogeneous(pt(2, 0)))
 
 
 def test_vertex_cone_contains(corpus_insts):
     inst = corpus_insts["square_hole"]
     # S's cone at the origin corner is the first quadrant
-    assert sides.vertex_cone_contains(inst, "S", "c00", pt(5, 3))
-    assert not sides.vertex_cone_contains(inst, "S", "c00", pt(-5, 3))
+    assert sides._cone_contains(inst, "S", "c00", homogeneous(pt(5, 3)))
+    assert not sides._cone_contains(inst, "S", "c00", homogeneous(pt(-5, 3)))
     # O gets the reflex complement
-    assert not sides.vertex_cone_contains(inst, "O", "c00", pt(5, 3))
-    assert sides.vertex_cone_contains(inst, "O", "c00", pt(-5, 3))
+    assert not sides._cone_contains(inst, "O", "c00", homogeneous(pt(5, 3)))
+    assert sides._cone_contains(inst, "O", "c00", homogeneous(pt(-5, 3)))
 
 
 def test_cone_query_on_ray_is_rejected(corpus_insts):
     inst = corpus_insts["square_hole"]
     with pytest.raises(GeneralPositionError):
-        sides.vertex_cone_contains(inst, "S", "c00", pt(3, 0))
+        sides._cone_contains(inst, "S", "c00", homogeneous(pt(3, 0)))
 
 
 def test_halfplane_query_on_hull_is_rejected(corpus_insts):
     inst = corpus_insts["half_plane"]
     with pytest.raises(GeneralPositionError):
-        sides.edge_halfplane_contains(inst, "L", "l", pt(0, 44))
+        sides._halfplane_contains(inst, "L", "l", homogeneous(pt(0, 44)))
 
 
 def _in_ccw_sector(start, end, u):
@@ -129,7 +130,7 @@ def _in_ccw_sector(start, end, u):
 
 
 def _restricted_cone(inst, pid, vid, x):
-    """The cone test vertex_cone_contains replaced: the star of the
+    """The cone test _cone_contains replaced: the star of the
     piece's own edges at the vertex, scanned sector by sector with
     Fraction cross products."""
     v = inst.vertices[vid]
@@ -169,8 +170,8 @@ def test_vertex_cone_matches_the_piece_star_reference(corpus_insts):
                     along_other += 2 * (pid not in (ccw, cw))
                 for x in probes:
                     want = _outcome(_restricted_cone, inst, pid, vid, x)
-                    got = _outcome(sides.vertex_cone_contains, inst, pid,
-                                   vid, x)
+                    got = _outcome(sides._cone_contains, inst, pid, vid,
+                                   homogeneous(x))
                     assert got == want, (name, pid, vid, x)
                     checked += 1
     assert along_other > 0 and checked > 1000
