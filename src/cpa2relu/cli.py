@@ -142,11 +142,7 @@ def _write_json(path: str, doc) -> None:
 def _load_instance(path: str):
     """The instance in the file; like any other input file, one that is
     not JSON fails naming the path (_read_json)."""
-    doc = _read_json(path)
-    if isinstance(doc, str):
-        # a JSON string is a value, not instance source to decode again
-        raise SchemaError("instance document must be a JSON object")
-    return parse_instance(doc)
+    return parse_instance(_read_json(path))
 
 
 def _validated(path: str):

@@ -12,12 +12,14 @@ the reflection back.  Edge pairs become plain max/min of their two
 affines, compared on integer forms.
 
 A TermList evaluates on integers: on first evaluation it builds its
-kernel_form, every affine of every term as an integer triple over one
-common denominator L, and eval_terms compares and sums the numerators
-at the sample's (X, Y, W); the only Fraction is the quotient N/(L*W).
-Each MaxTerm converts its affines once (int_form), so a list that shares
-terms with an evaluated one, such as a seeded mutation, only rescales
-them.  reduce() builds neither form.
+kernel_form, each distinct affine of its terms once as an integer triple
+over one common denominator L, and eval_terms computes each one's
+numerator once at the sample's (X, Y, W), then compares and sums them
+term by term; the only Fraction is the quotient N/(L*W).  Vertex fans
+and edges share piece affines, so a list holds about half as many
+distinct affines as term slots.  Each MaxTerm converts its affines once
+(int_form), so a list that shares terms with an evaluated one, such as a
+seeded mutation, only rescales them.  reduce() builds neither form.
 """
 from __future__ import annotations
 
@@ -44,12 +46,12 @@ class MaxTerm:
     f3: AffineFunc
 
     @cached_property
-    def int_form(self) -> tuple[int, ...]:
-        """(sigma1, sigma2, A1, B1, C1, D1, A2, .., D3): the signs and the
-        int_form (A, B, C, D) of f1, f2 and f3, built once per term.  Not a
-        field, so equality, hashing and the JSON dump never see it."""
-        return (self.sigma1, self.sigma2, *self.f1.int_form(),
-                *self.f2.int_form(), *self.f3.int_form())
+    def int_form(self) -> tuple:
+        """(sigma1, sigma2, g1, g2, g3): the signs and the int_form
+        (A, B, C, D) of f1, f2 and f3, built once per term.  Not a field,
+        so equality, hashing and the JSON dump never see it."""
+        return (self.sigma1, self.sigma2, self.f1.int_form(),
+                self.f2.int_form(), self.f3.int_form())
 
     def __call__(self, x: Point) -> Rat:
         inner = max(self.f2(x), self.f3(x))
@@ -75,24 +77,30 @@ class TermList:
     source_p: int
 
     @cached_property
-    def kernel_form(self) -> tuple[int, tuple]:
-        """(L, terms) for eval_terms, built on first evaluation.  Each
-        term is a flat int tuple
-            (s1, s2, a1, b1, c1, a2, b2, c2, a3, b3, c3)
-        encoding s1 * max(f1, s2 * max(f2, f3)) with
-        fi = (ai*x + bi*y + ci)/L, and L > 0 is the lcm of the terms'
-        int_form denominators.  Each term converts once
-        (MaxTerm.int_form), so a list that shares terms with one already
-        evaluated only rescales them.  Not a field, so equality, hashing
-        and the JSON dump never see it."""
-        forms = [t.int_form for t in self.terms]
-        L = lcm(*{D for f in forms for D in f[5::4]})
-        terms = []
-        for s1, s2, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 in forms:
-            k1, k2, k3 = L // d1, L // d2, L // d3
-            terms.append((s1, s2, a1 * k1, b1 * k1, c1 * k1,
-                          a2 * k2, b2 * k2, c2 * k2, a3 * k3, b3 * k3, c3 * k3))
-        return L, tuple(terms)
+    def kernel_form(self) -> tuple[int, tuple, tuple]:
+        """(L, affs, terms) for eval_terms, built on first evaluation.
+        affs holds each distinct affine of the terms once, as an int
+        triple (a, b, c) with f = (a*x + b*y + c)/L, and L > 0 is the lcm
+        of the terms' int_form denominators.  Each term is a flat int
+        tuple
+            (s1, s2, i1, i2, i3)
+        encoding s1 * max(f1, s2 * max(f2, f3)) with fk = affs[ik].  An
+        affine is keyed by its int_form, which is unique to its value, so
+        each term converts once (MaxTerm.int_form) and a list that shares
+        terms with one already evaluated only rescales them.  Not a
+        field, so equality, hashing and the JSON dump never see it."""
+        # int_form -> its place in affs; put numbers each on first sight
+        index: dict = {}
+        put = index.setdefault
+        forms = (t.int_form for t in self.terms)
+        terms = tuple((s1, s2, put(g1, len(index)), put(g2, len(index)),
+                       put(g3, len(index))) for s1, s2, g1, g2, g3 in forms)
+        L = lcm(*{g[3] for g in index})
+        affs = []
+        for a, b, c, d in index:
+            m = L // d
+            affs.append((a * m, b * m, c * m))
+        return L, tuple(affs), terms
 
     def __call__(self, x: Point) -> Rat:
         n, d = eval_terms(*self.kernel_form, *homogeneous(x))
@@ -103,22 +111,23 @@ class TermList:
                 "terms": [t.to_json() for t in self.terms]}
 
 
-def eval_terms(L, terms, X, Y, W):
+def eval_terms(L, affs, terms, X, Y, W):
     """Exact value of a sum of nested-max terms at the point (X/W, Y/W),
     W > 0, from a TermList.kernel_form (see there), as a pair (N, L*W)
-    whose quotient is the value.  ni = ai*X + bi*Y + ci*W is L*W*fi and
-    L*W > 0, so the maxes compare the ni directly and the terms sum on
-    ints.
+    whose quotient is the value.  n = a*X + b*Y + c*W is L*W*f for each
+    distinct affine f, computed once, and L*W > 0, so the maxes compare
+    the n directly and the terms sum on ints.
     """
+    n = [a * X + b * Y + c * W for a, b, c in affs]
     acc = 0
-    for s1, s2, a1, b1, c1, a2, b2, c2, a3, b3, c3 in terms:
-        m = a2 * X + b2 * Y + c2 * W
-        n3 = a3 * X + b3 * Y + c3 * W
+    for s1, s2, i1, i2, i3 in terms:
+        m = n[i2]
+        n3 = n[i3]
         if n3 > m:
             m = n3
         if s2 < 0:
             m = -m
-        n1 = a1 * X + b1 * Y + c1 * W
+        n1 = n[i1]
         if n1 > m:
             m = n1
         acc += m if s1 > 0 else -m

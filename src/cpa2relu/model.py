@@ -24,7 +24,6 @@ exactly.  A piece without a box is always asked.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -238,19 +237,12 @@ def _parse_direction(value, what: str) -> Direction:
 
 
 def parse_instance(doc) -> CPAInstance:
-    """Build an instance from a JSON document (dict, or source as str or
-    bytes).
+    """Build an instance from a decoded JSON document.
 
-    Source that does not decode or parse, and structural problems, raise
-    SchemaError; references to missing ids
+    Structural problems raise SchemaError; references to missing ids
     raise DanglingRefError.  Semantic problems (broken cover, torn
     continuity, bad witnesses) are left to validate().
     """
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except ValueError as exc:  # bad JSON or bytes, too many digits
-            raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
     for key in ("vertices", "edges", "pieces"):

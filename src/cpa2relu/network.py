@@ -17,14 +17,19 @@ built on its first exact evaluation: every unit gets an integer scale, the
 lcm of the denominators its row needs, and every row stores its weights
 and bias multiplied by it.  ReLU commutes with a positive scale
 (max(e*z, 0) = e*max(z, 0) for e > 0), so forward_layers runs the whole
-pass on ints and eval_network divides once at the end.  Three of every
-eight hidden rows above are the negation of the row before them (-f1,
--f3, -s): a row whose stored ints are the exact negation of its
-predecessor's is folded into it, so the pass computes z once and writes
-relu(z) and relu(-z).  The fold reads the ints alone, so it holds for any
-network, built, imported or mutated, and a pair that a mutation breaks is
-simply not folded.  A float64 evaluation path (float_form) exists for
-sanity checks only.
+pass on ints and eval_network divides once at the end.  The integer form
+computes each distinct hidden row once (value numbering): three of every
+eight hidden rows above negate another row of their block (-f1, -f3, -s),
+and vertex fans and edges share piece affines, so the same layer-1 row
+recurs across blocks.  A hidden row is keyed by its ints up to sign; the
+first row with a key computes z, and every unit with that key reads its
+relu(z) or relu(-z).  The pass runs forward: a layer-1 row adds the one
+of the two that is nonzero into the layer-2 rows that read it, so the
+weights on the zero one cost nothing.  The layers themselves, and so the
+2 / 5N / 3N / 1 template and the export, are unchanged.  The keys are
+the ints alone, so sharing holds for any network, built, imported or
+mutated, and a pair that a mutation breaks is simply not shared.  A
+float64 evaluation path (float_form) exists for sanity checks only.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import neg
 from typing import Dict, Tuple
 
 from .errors import CpaError, EmptyTermListError, SchemaError
@@ -103,22 +109,42 @@ class ReluNetwork:
         Each unit c has an integer scale e_c > 0 (_int_parts), and the
         pass carries A_c = e_c * W * a_c in place of the unit's exact
         value a_c at (X/W, Y/W), so x and y (scale 1) enter as X and Y.
-        first and second are the hidden layers as (n, rows): n units, all
-        0 until a row writes a positive value.  A row is
-        (q, paired, a, b, c) in first, with z = a*X + b*Y + c*W, and
-        (q, paired, pairs, B) in second, with z = B*W + sum w*A_c over
-        its (col, w) pairs.  It writes relu(z) to unit q and, when
-        paired, relu(-z) to unit q + 1.  Rows with no weights and a zero
-        bias are left out.  out is the output row (pairs, B), without
-        ReLU, and scale is the output unit's e.  Not a field, so equality
-        and the export never see it.
+        Units whose rows hold the same ints carry the same A, and a row
+        whose ints are negated carries relu(-z) where the other carries
+        relu(z), so each hidden layer keeps each distinct nonzero row, up
+        to sign, once (_first_rows, _second_rows); a unit whose row is
+        zero is always 0 and is read by nothing.  The pass runs forward:
+        each kept layer-1 row computes z = a*X + b*Y + c*W and adds its
+        relu(z) or relu(-z), whichever is nonzero, into the layer-2 rows
+        that read it.
+            first  = ((a, b, c, up, down), ...) the layer-1 rows read by
+                     some layer-2 row; up and down are ((i, w), ...),
+                     adding w*relu(z) or w*relu(-z) into layer-2 row i
+            second = (B, ...), layer-2 row i starting at B*W
+            out    = (B, ((wp, wn), ...)), the output B and the weights
+                     of relu(z) and relu(-z) of each layer-2 row
+        Weights from units that read one value are summed, so each i
+        occurs at most once in an up or down list; the output is not
+        ReLU'd, and scale is its unit's e.  Not a field, so equality and
+        the export never see it.
         """
         l1, l2, l3 = self.layers
-        first, scales = _first_rows(l1)
-        second, scales = _sparse_rows(l2, scales)
-        flat, ((bn, bd),), (e,) = _int_parts(l3, scales)
-        out = tuple((c, n * (e // d)) for _, c, n, d in flat)
-        return (l1.rows, first), (l2.rows, second), (out, bn * (e // bd)), e
+        rows1, units, scales = _first_rows(l1)
+        rows2, units, scales = _second_rows(l2, scales, units)
+        (out,), (bo,), (e,) = _slot_rows(l3, scales, units)
+        # slot 2k of a layer is relu(z) of its row k, slot 2k + 1 relu(-z)
+        reads: list[list] = [[] for _ in range(2 * len(rows1))]
+        for i, (pairs, _) in enumerate(rows2):
+            for s, w in pairs:
+                reads[s].append((i, w))
+        first = tuple((*row, tuple(up), tuple(down))
+                      for row, up, down in zip(rows1, reads[::2], reads[1::2])
+                      if up or down)
+        wts = [0] * (2 * len(rows2))
+        for s, w in out.items():
+            wts[s] = w
+        return (first, tuple(b for _, b in rows2),
+                (bo, tuple(zip(wts[::2], wts[1::2]))), e)
 
     @cached_property
     def float_form(self):
@@ -183,82 +209,104 @@ def _int_parts(layer: AffineLayer, scales) -> tuple[list, list, list]:
     return flat, bias, es
 
 
-def _first_rows(layer: AffineLayer) -> tuple[tuple, list]:
-    """Layer 1 as the dense rows of ReluNetwork.kernel_form, and its unit
-    scales.  A row that is the exact negation of the row before it,
-    itself not folded, is folded into that row, and a zero row is left
-    out (its unit is 0 after ReLU)."""
+def _first_rows(layer: AffineLayer) -> tuple[list, list, list]:
+    """Layer 1's distinct nonzero rows as int triples (a, b, c), the slot
+    each unit reads and the unit scales.
+
+    A row is keyed by its ints up to sign: its first nonzero coefficient
+    is made positive.  Row k, the k-th distinct key, has the slots 2k,
+    relu(z), and 2k + 1, relu(-z); a unit reads the slot of its own
+    orientation, and a unit whose row is zero reads None."""
     flat, bias, es = _int_parts(layer, (1, 1))
-    rows = [[0, 0, bn * (e // bd)] for (bn, bd), e in zip(bias, es)]
+    ints = [[0, 0, bn * (e // bd)] for (bn, bd), e in zip(bias, es)]
     for r, c, n, d in flat:
-        rows[r][c] = n * (es[r] // d)
-    out = []
-    hq = -2
-    for q, (a, b, c) in enumerate(rows):
-        if hq == q - 1 and c == -hc and a == -ha and b == -hb:
-            out[-1] = (hq, True) + out[-1][2:]
-            hq = -2
-        elif a or b or c:
-            out.append((q, False, a, b, c))
-            hq, ha, hb, hc = q, a, b, c
-    return tuple(out), es
+        ints[r][c] = n * (es[r] // d)
+    seen: dict = {}
+    rows, units = [], []
+    for a, b, c in ints:
+        lead = a or b or c
+        if not lead:
+            units.append(None)
+            continue
+        key = (a, b, c) if lead > 0 else (-a, -b, -c)
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = 2 * len(rows)
+            rows.append(key)
+        units.append(j if lead > 0 else j + 1)
+    return rows, units, es
 
 
-def _sparse_rows(layer: AffineLayer, scales) -> tuple[tuple, list]:
-    """A later layer as the sparse rows of ReluNetwork.kernel_form,
-    folded as in _first_rows, and its unit scales."""
+def _slot_rows(layer: AffineLayer, scales, units) -> tuple[list, list, list]:
+    """A later layer on the slots of the layer before: per row a dict
+    {slot: W} and B, and the layer's unit scales.  A weight on a unit
+    that reads no slot is dropped, since that unit is always 0; weights
+    on one slot are summed, and a zero sum is dropped."""
     flat, bias, es = _int_parts(layer, scales)
-    rows = [[] for _ in es]
+    rows: list[dict] = [{} for _ in es]
     for r, c, n, d in flat:
-        rows[r].append((c, n * (es[r] // d)))
-    out = []
-    hq = -2
-    for q, (p, (bn, bd), e) in enumerate(zip(rows, bias, es)):
-        b = bn * (e // bd)
-        if (hq == q - 1 and b == -hb and len(p) == len(hp)
-                and p == [(c, -w) for c, w in hp]):
-            out[-1] = (hq, True) + out[-1][2:]
-            hq = -2
-        elif p or b:
-            out.append((q, False, tuple(p), b))
-            hq, hp, hb = q, p, b
-    return tuple(out), es
+        s = units[c]
+        if s is not None:
+            row = rows[r]
+            w = n * (es[r] // d)
+            if s in row:
+                w += row.pop(s)
+                if not w:
+                    continue
+            row[s] = w
+    return rows, [bn * (e // bd) for (bn, bd), e in zip(bias, es)], es
+
+
+def _second_rows(layer: AffineLayer, scales, units) -> tuple[list, list, list]:
+    """Layer 2's distinct nonzero rows as (pairs, B) on layer 1's slots
+    (_slot_rows), the slot each unit reads and the unit scales, keyed up
+    to sign as in _first_rows: the first weight, or B when there is
+    none, is made positive."""
+    slotted, bs, es = _slot_rows(layer, scales, units)
+    seen: dict = {}
+    rows, units = [], []
+    for row, b in zip(slotted, bs):
+        pairs = tuple(row.items())
+        lead = pairs[0][1] if pairs else b
+        if not lead:
+            units.append(None)
+            continue
+        if lead < 0:
+            pairs, b = tuple(zip(row, map(neg, row.values()))), -b
+        key = (pairs, b)
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = 2 * len(rows)
+            rows.append(key)
+        units.append(j if lead > 0 else j + 1)
+    return rows, units, es
 
 
 def forward_layers(first, second, out, scale, X, Y, W):
     """Exact output of an integer 2 -> n1 -> n2 -> 1 ReLU network at
     (X/W, Y/W), W > 0, from a ReluNetwork.kernel_form (see there), as a
     pair (A, scale*W) whose quotient is the output.  ReLU is
-    max(A_c, 0), exact because e_c*W > 0, and a unit that is 0 after
-    ReLU adds nothing to the next layer.
+    max(A_c, 0), exact because e_c*W > 0.  Of relu(z) and relu(-z) at
+    most one is nonzero, so each layer-1 row adds only the weights that
+    read that one, and a zero z adds nothing.
     """
-    n, rows = first
-    vals = [0] * n
-    for q, paired, a, b, c in rows:
+    acc = [b * W for b in second]
+    for a, b, c, up, down in first:
         z = a * X + b * Y + c * W
         if z > 0:
-            vals[q] = z
-        elif paired and z:
-            vals[q + 1] = -z
-    n, rows = second
-    prev, vals = vals, [0] * n
-    for q, paired, pairs, z in rows:
-        z *= W
-        for c, w in pairs:
-            v = prev[c]
-            if v:
-                z += w * v
+            for i, w in up:
+                acc[i] += w * z
+        elif z:
+            for i, w in down:
+                acc[i] -= w * z
+    b, weights = out
+    n = b * W
+    for z, (wp, wn) in zip(acc, weights):
         if z > 0:
-            vals[q] = z
-        elif paired and z:
-            vals[q + 1] = -z
-    pairs, z = out
-    z *= W
-    for c, w in pairs:
-        v = vals[c]
-        if v:
-            z += w * v
-    return z, scale * W
+            n += wp * z
+        elif z:
+            n -= wn * z
+    return n, scale * W
 
 
 def _float_form(net: ReluNetwork):

@@ -236,10 +236,11 @@ class Mutation:
     expect_stage: str  # earliest stage verify_equivalence should flag
 
 
-def _probe_points(rng: random.Random, k: int) -> list[Point]:
-    return [Point(Fraction(rng.randint(-400, 400), rng.randint(1, 24)),
-                  Fraction(rng.randint(-400, 400), rng.randint(1, 24)))
-            for _ in range(k)]
+def _probe_draws(rng: random.Random, k: int) -> list[tuple[int, ...]]:
+    """k probe points as (x numerator, x denominator, y numerator,
+    y denominator), drawn in that order."""
+    return [(rng.randint(-400, 400), rng.randint(1, 24),
+             rng.randint(-400, 400), rng.randint(1, 24)) for _ in range(k)]
 
 
 def _differs(f: Callable[[Point], Fraction], g: Callable[[Point], Fraction],
@@ -274,8 +275,13 @@ def seeded_mutations(terms: TermList, seed: int, count: int = 20,
             raise InvalidInputError(f"only {len(out)} functional mutations "
                                     f"found in {MUTATION_MAX_TRIES} tries")
         kind = MUTATION_KINDS[rng.randrange(len(MUTATION_KINDS))]
-        pts = _probe_points(rng, MUTATION_PROBES)
-        if visible_at is not None:
+        # drawn even when unused, so the rng stream does not depend on
+        # visible_at
+        draws = _probe_draws(rng, MUTATION_PROBES)
+        if visible_at is None:
+            pts = [Point(Fraction(a, b), Fraction(c, d))
+                   for a, b, c, d in draws]
+        else:
             pts = visible_at
         if kind == "perturb_weight":
             li = rng.randrange(3)

@@ -9,9 +9,11 @@ degree 25, against 6 in the corpus.  For random_instance(s, n) with s in
 {5, 9}, the term list and the validation report of a broken copy of the
 draw (one vertex moved, one witness put on a vertex) are pinned, so the
 reduction's and validate's failure messages and their order are fixed.
-A change that alters any of these bytes must say so and update the
-digest.  The benchmark in pipebench/ pins names as well: every package
-function it looks up must still exist.
+The (kind, detail) lists of seeded_mutations on ring_bump and
+random_tri_7 are pinned, screened at the verifier's samples and at the
+mutator's own probe points.  A change that alters any of these bytes
+must say so and update the digest.  The benchmark in pipebench/ pins
+names as well: every package function it looks up must still exist.
 """
 import ast
 import hashlib
@@ -205,6 +207,39 @@ def test_random_draw_terms_and_reports_are_byte_identical(seed, n_points):
     assert not report.ok
     got = (_sha(terms.to_json()), _sha(report.to_json()))
     assert got == DRAW_DIGESTS[seed, n_points]
+
+
+# (instance, visible_at) -> [(kind, detail)] of seeded_mutations(terms,
+# seed, 20, visible_at): screened against that many of the verifier's
+# seed-0 samples, or against the mutator's own probe points (None)
+MUTATION_DIGESTS = {
+    ("random_tri_7", 3):
+        "d1dfec37146765e5a685c2f2a9eaf979ad2c6195dc8c093f48a0c758e418e318",
+    ("random_tri_7", 50):
+        "0b7443337bd61bc111f9f55ebd3ef4e38b74162142314a58711bb07131ebf9d5",
+    ("random_tri_7", None):
+        "0b7443337bd61bc111f9f55ebd3ef4e38b74162142314a58711bb07131ebf9d5",
+    ("ring_bump", 3):
+        "6fd10c338da94030e9ed2e5f42051d38852cea803afc4d13764ab6dcd9f89cc5",
+    ("ring_bump", 50):
+        "56656d0a7c72f60ce2cabe65b106bf4c41c6161ca5e01ff6c2aaad5c90d7dd94",
+    ("ring_bump", None):
+        "56656d0a7c72f60ce2cabe65b106bf4c41c6161ca5e01ff6c2aaad5c90d7dd94",
+}
+MUTATION_SEEDS = {"random_tri_7": 1005, "ring_bump": 1006}
+
+
+@pytest.mark.parametrize("name, k", sorted(MUTATION_DIGESTS, key=str))
+def test_seeded_mutation_lists_are_byte_identical(name, k, corpus_docs):
+    """The mutator's rng stream, so which candidates it draws and keeps,
+    does not depend on whether it screens at its own probe points."""
+    slim = model.sparsify(model.parse_instance(corpus_docs[name]))
+    terms = maxform.reduce(decompose(slim), slim.p)
+    pts = None if k is None else verify.sample_general_position(slim, 0, k)
+    muts = verify.seeded_mutations(terms, seed=MUTATION_SEEDS[name],
+                                   count=20, visible_at=pts)
+    assert _sha([[m.kind, m.detail] for m in muts]) == \
+        MUTATION_DIGESTS[name, k]
 
 
 def test_every_name_the_benchmark_uses_exists(monkeypatch):

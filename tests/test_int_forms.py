@@ -3,7 +3,7 @@ geometry.line_sign, maxform.eval_terms and network.forward_layers.
 Points are drawn in homogeneous form (X, Y, W), W > 0, with W not
 necessarily the one geometry.homogeneous would build."""
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, strategies as st
 
@@ -42,17 +42,28 @@ def test_int_form_is_the_reduced_form(g):
 
 
 @st.composite
-def max_terms(draw):
-    f1, f2 = draw(affines), draw(affines)
-    # f3 = f2 is the shape of every edge term
-    f3 = draw(st.one_of(affines, st.just(f2)))
-    return MaxTerm(draw(signs), f1, draw(signs), f2, f3)
+def term_lists(draw):
+    """One to six terms whose affines mostly come from a small shared
+    pool, as vertex fans and edges share piece affines; some are the
+    negation or the double of a pooled affine, some are fresh."""
+    pool = draw(st.lists(affines, min_size=1, max_size=4))
+    shared = st.sampled_from(pool)
+    pick = st.one_of(shared, shared, shared.map(lambda g: -g),
+                     shared.map(lambda g: g.scale(Fraction(2))), affines)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        f1, f2 = draw(pick), draw(pick)
+        # f3 = f2 is the shape of every edge term
+        f3 = draw(st.one_of(pick, st.just(f2)))
+        terms.append(MaxTerm(draw(signs), f1, draw(signs), f2, f3))
+    return terms
 
 
-@given(st.lists(max_terms(), min_size=1, max_size=6), points)
+@given(term_lists(), points)
 def test_eval_terms_matches_fractions(terms, p):
-    """eval_terms on a TermList's common-denominator form
-    against the plain Fraction value of every term at the point."""
+    """eval_terms on a TermList's common-denominator form against the
+    plain Fraction value of every term at the point; the form holds each
+    distinct affine once."""
     X, Y, W = p
     x, y = Fraction(X, W), Fraction(Y, W)
 
@@ -61,8 +72,10 @@ def test_eval_terms_matches_fractions(terms, p):
 
     want = sum(t.sigma1 * max(f(t.f1), t.sigma2 * max(f(t.f2), f(t.f3)))
                for t in terms)
-    L, rows = TermList(tuple(terms), 0).kernel_form
-    n, d = eval_terms(L, rows, X, Y, W)
+    L, affs, rows = TermList(tuple(terms), 0).kernel_form
+    assert len(affs) == len({(g.a, g.b, g.c) for t in terms
+                             for g in (t.f1, t.f2, t.f3)})
+    n, d = eval_terms(L, affs, rows, X, Y, W)
     assert d == L * W > 0
     assert Fraction(n, d) == want
 
@@ -125,23 +138,46 @@ def test_forward_layers_matches_fractions(p, data):
     assert _kernel_value(net, X, Y, W) == acc[0]
 
 
-# how a hidden row is drawn from the row before it: "neg" is the exact
-# negation that the kernel form folds, the three near-misses must not
-# fold, "bump" is a negation with one weight moved by 1 (the seeded
-# weight mutation inside a folded pair)
+# how a hidden row is drawn from the rows before it: "neg" is the exact
+# negation of the row just before, which shares its computation; the
+# three near-misses must not; "bump" is a negation with one weight moved
+# by 1 (the seeded weight mutation inside a shared pair); "copy",
+# "neg_far" and "double" repeat, negate (skipping the row just before) or
+# double an earlier row; "collide" gives a layer-2 row weights on two
+# layer-1 units with equal rows, which sum, or cancel, on one slot
 ROW_KINDS = ("free", "neg", "neg", "zero", "bias_kept", "weight_off",
-             "other_col", "bump")
+             "other_col", "bump", "copy", "neg_far", "double", "collide")
+SCALE = {"copy": 1, "neg_far": -1, "double": 2}
 
 
-def _row(data, kind, prev, cols):
-    """One row {col: weight}, bias."""
-    pw, pb = prev
-    if kind == "free" or (kind != "zero" and not pw):
-        keys = data.draw(st.sets(st.integers(0, cols - 1), min_size=1,
-                                 max_size=min(cols, 4)))
-        return {c: data.draw(weights) for c in keys}, data.draw(biases)
+def _free_row(data, cols):
+    keys = data.draw(st.sets(st.integers(0, cols - 1), min_size=1,
+                             max_size=min(cols, 4)))
+    return {c: data.draw(weights) for c in keys}, data.draw(biases)
+
+
+def _row(data, kind, made, cols, twins):
+    """One row {col: weight}, bias, from the rows made before it and,
+    in layer 2, the layer-1 units with equal rows (twins)."""
+    earlier = made[:-1] if kind == "neg_far" else made
+    if kind in SCALE and earlier:
+        pw, pb = data.draw(st.sampled_from(earlier))
+        k = SCALE[kind]
+        return {c: k * v for c, v in pw.items()}, k * pb
+    if kind == "collide":
+        w, b = _free_row(data, cols)
+        c = data.draw(st.sampled_from(sorted(w)))
+        if twins.get(c):
+            to = data.draw(st.sampled_from(twins[c]))
+            w[to] = data.draw(st.one_of(st.just(-w[c]), st.just(w[c]),
+                                        weights))
+        return w, b
+    pw, pb = made[-1] if made else ({}, Fraction(0))
     if kind == "zero":
         return {}, Fraction(0)
+    if kind not in ("neg", "bias_kept", "weight_off", "other_col",
+                    "bump") or not pw:
+        return _free_row(data, cols)
     w, b = {c: -v for c, v in pw.items()}, -pb
     c = data.draw(st.sampled_from(sorted(w)))
     if kind == "bias_kept":
@@ -161,24 +197,36 @@ def _row(data, kind, prev, cols):
     return {k: v for k, v in w.items() if v}, b
 
 
-def _paired_layer(data, rows, cols):
-    out = [({}, Fraction(0))]
+def _paired_layer(data, rows, cols, twins=None):
+    out = []
     for _ in range(rows):
-        out.append(_row(data, data.draw(st.sampled_from(ROW_KINDS)),
-                        out[-1], cols))
-    out = out[1:]
+        out.append(_row(data, data.draw(st.sampled_from(ROW_KINDS)), out,
+                        cols, twins or {}))
     w = {(r, c): v for r, (row, _) in enumerate(out) for c, v in row.items()}
     return w, tuple(b for _, b in out)
 
 
+def _twins(w, b):
+    """unit -> the other units whose rows equal its row."""
+    rows = [({}, bq) for bq in b]
+    for (r, c), v in w.items():
+        rows[r][0][c] = v
+    groups = {}
+    for q, (row, bq) in enumerate(rows):
+        groups.setdefault((tuple(sorted(row.items())), bq), []).append(q)
+    return {q: [o for o in g if o != q] for g in groups.values() for q in g}
+
+
 @given(points, st.integers(1, 2), st.data())
 def test_forward_layers_folds_negated_rows_exactly(p, n, data):
-    """Hidden layers drawn row by row from the one before: exact
-    negations (chains of them included), negations that miss by the
-    bias, by one weight or by a column, zero rows, and negated pairs
-    with one weight bumped by 1.  The folded integer pass must equal the
-    Fraction pass, zero pre-activations included: every other draw puts
-    x on the zero set of two adjacent layer-1 rows."""
+    """Hidden layers drawn row by row from the ones before: exact
+    negations of the row before (chains of them included) and of earlier
+    rows, copies and doubles of earlier rows, negations that miss by the
+    bias, by one weight or by a column, zero rows, negated pairs with one
+    weight bumped by 1, and layer-2 weights on layer-1 units that share
+    a slot.  The shared integer pass must equal the Fraction pass, zero
+    pre-activations included: every other draw puts x on the zero set of
+    two adjacent layer-1 rows."""
     X, Y, W = p
     x, y = Fraction(X, W), Fraction(Y, W)
     w1, b1 = _paired_layer(data, 5 * n, 2)
@@ -189,7 +237,7 @@ def test_forward_layers_folds_negated_rows_exactly(p, n, data):
         acc = _preacts(w1, b1, [x, y])
         b1 = tuple(b - acc[q] if q in (r, r + 1) else b
                    for q, b in enumerate(b1))
-    w2, b2 = _paired_layer(data, 3 * n, 5 * n)
+    w2, b2 = _paired_layer(data, 3 * n, 5 * n, _twins(w1, b1))
     # every layer-2 unit reaches the output
     w3 = {(0, c): data.draw(weights) for c in range(3 * n)}
     layers = (network.AffineLayer(5 * n, 2, w1, b1),
@@ -199,18 +247,40 @@ def test_forward_layers_folds_negated_rows_exactly(p, n, data):
     assert _kernel_value(net, X, Y, W) == _forward(layers, x, y)
 
 
+def _int_row(a, b, c):
+    """A rational row times the lcm of its denominators, up to sign."""
+    e = lcm(a.denominator, b.denominator, c.denominator)
+    row = (int(a * e), int(b * e), int(c * e))
+    return min(row, tuple(-v for v in row))
+
+
 def test_built_networks_fold_every_relu_pair(compiled):
-    """A built network folds -f1 and -f3 in layer 1 and -s in layer 2:
-    3 of its 8 hidden rows per term compute nothing of their own.  A zero
-    f1 or f3 leaves both of its rows out instead, and with f2 = 0 the
-    row f2 - f3 = -f3 pairs with f3 in place of -f3."""
+    """A built network computes each distinct nonzero layer-1 row, up to
+    sign, once, so -f1 and -f3 read the relu(-z) slot of f1 and f3, and
+    -s in layer 2 reads that of s: per term 3 of the 8 hidden rows
+    compute nothing of their own, and rows shared across terms compute
+    once.  A zero f1 or f3 reads no slot at all."""
     for name, (*_, terms, net) in compiled.items():
-        (_, first), (_, second), _, _ = net.kernel_form
-        want1 = [(not t.f1.is_zero()) + (not t.f3.is_zero())
-                 for t in terms.terms]
-        got1 = [0] * len(terms.terms)
-        for q, paired, *_ in first:
-            got1[q // 5] += paired
-        assert got1 == want1, name
-        assert [q for q, paired, *_ in second if paired] == \
-            [3 * i + 1 for i in range(len(terms.terms))], name
+        l1, l2, _ = net.layers
+        first, second, _, _ = net.kernel_form
+        rows = [[Fraction(0), Fraction(0), c] for c in l1.bias]
+        for (r, c), v in l1.weights.items():
+            rows[r][c] = v
+        ints = {_int_row(*row) for row in rows} - {(0, 0, 0)}
+        assert len(first) == len(ints), name
+        _, units1, scales = network._first_rows(l1)
+        _, units2, _ = network._second_rows(l2, scales, units1)
+        assert len(second) <= 2 * len(terms.terms), name
+        for i, t in enumerate(terms.terms):
+            u = units1[5 * i:5 * i + 5]
+            for j, g in ((0, t.f1), (3, t.f3)):
+                if g.is_zero():
+                    assert u[j] is None and u[j + 1] is None, name
+                else:
+                    assert u[j + 1] == u[j] ^ 1, name
+            s, neg_s = units2[3 * i + 1:3 * i + 3]
+            if s is None:
+                # f2 and f3 zero: s is 0
+                assert neg_s is None and t.f2.is_zero() and t.f3.is_zero()
+            else:
+                assert neg_s == s ^ 1, name

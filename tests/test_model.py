@@ -33,17 +33,6 @@ def test_round_trip_is_canonical(corpus_docs):
         assert json.loads(json.dumps(once)) == once
 
 
-def test_parse_accepts_json_source_string(corpus_docs):
-    src = json.dumps(corpus_docs["half_plane"])
-    inst = model.parse_instance(src)
-    assert sorted(inst.pieces) == ["L", "R"]
-
-
-def test_parse_rejects_bytes_that_are_not_unicode():
-    with pytest.raises(SchemaError):
-        model.parse_instance(b"\x80")
-
-
 def _half_plane_doc(corpus_docs):
     return copy.deepcopy(corpus_docs["half_plane"])
 
