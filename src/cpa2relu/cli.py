@@ -18,11 +18,13 @@ from .decompose import decompose, decomposition_to_json
 from .errors import CpaError, SchemaError
 from .geometry import indented_json, pt, rat_to_json
 from .maxform import reduce as reduce_terms
-from .model import parse_instance, serialize_instance, sparsify, validate
+from .model import (eval_cpa, parse_instance, serialize_instance, sparsify,
+                    validate)
 from .network import (EXACT, FLOAT64, build_network, eval_network,
                       export_network, import_network, stats)
 from .render import render_svg, stroke_width
-from .verify import verify_equivalence, verify_lemma_suite
+from .verify import (sample_general_position, verify_equivalence,
+                     verify_lemma_suite)
 
 _MODES = {"exact": EXACT, "f64": FLOAT64}
 
@@ -210,6 +212,22 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _sparsify_mismatches(inst, slim, n: int, seed: int) -> list[str]:
+    """A line for each point of verify_equivalence's sample stream at
+    which the sparsified instance's value differs from the input's:
+    verify_equivalence checks every later stage against the sparsified
+    instance alone."""
+    out = []
+    for x in sample_general_position(slim, seed, n):
+        want, got = eval_cpa(inst, x), eval_cpa(slim, x)
+        if want != got:
+            out.append(f"sparsify: at [{rat_to_json(x.x)}, "
+                       f"{rat_to_json(x.y)}] the input is "
+                       f"{rat_to_json(want)}, the sparsified instance "
+                       f"{rat_to_json(got)}")
+    return out
+
+
 def _cmd_verify(ns: argparse.Namespace) -> int:
     inst, slim, dec, terms = _compile(ns.input)
     if ns.net:
@@ -220,7 +238,12 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
                                 n=ns.samples, seed=ns.seed)
     print(report.summary())
     print(f"{len(report.failures)} failures")
-    ok = report.certified
+    wrong = _sparsify_mismatches(inst, slim, ns.samples, ns.seed)
+    for line in wrong[:5]:
+        print(line)
+    if len(wrong) > 5:
+        print(f"sparsify: ... and {len(wrong) - 5} more points")
+    ok = report.certified and not wrong
     if ns.lemmas:
         lemma_report = verify_lemma_suite(inst, n=ns.samples, seed=ns.seed)
         print(lemma_report.summary())

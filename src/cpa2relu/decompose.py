@@ -233,7 +233,7 @@ def eval_blocks(fans, pairs, tail, X, Y, W):
     a, b, c = tail
     for cX, cY, cW, rays, sectors in fans:
         u = (X * cW - cX * W, Y * cW - cY * W)
-        sa, sb, sc = sectors[sector_index(rays, u)[0] if u != (0, 0) else 0]
+        sa, sb, sc = sectors[sector_index(rays, u) if u != (0, 0) else 0]
         a += sa
         b += sb
         c += sc

@@ -281,9 +281,10 @@ def ccw_sort_directions(center: Point | str,
 
 
 def sector_index(rays: tuple[tuple[int, int], ...],
-                 u: tuple[int, int]) -> tuple[int, bool]:
-    """(i, on_ray): the sector from rays[i] to rays[i + 1] (cyclically)
-    that holds the direction u, and whether u lies along rays[i].
+                 u: tuple[int, int]) -> int:
+    """The i whose sector, from rays[i] to rays[i + 1] (cyclically),
+    holds the direction u; u along rays[i] takes sector i, and
+    ccw_angle_cmp(rays[0], rays[i], u) == 0 tells when it does.
 
     rays are integer pairs in strict CCW order starting anywhere, so
     their angles from rays[0] increase; the list may wrap past +x.  A
@@ -297,7 +298,7 @@ def sector_index(rays: tuple[tuple[int, int], ...],
             lo = mid
         else:
             hi = mid
-    return lo, ccw_angle_cmp(r0, rays[lo], u) == 0
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ term by term; the only Fraction is the quotient N/(L*W).  Vertex fans
 and edges share piece affines, so a list holds about half as many
 distinct affines as term slots.  Each MaxTerm converts its affines once
 (int_form), so a list that shares terms with an evaluated one, such as a
-seeded mutation, only rescales them.  reduce() builds neither form.
+seeded mutation, only rescales them; its network rows (block_rows) are
+built once too.  reduce() builds none of these forms.
 """
 from __future__ import annotations
 
@@ -52,6 +53,15 @@ class MaxTerm:
         so equality, hashing and the JSON dump never see it."""
         return (self.sigma1, self.sigma2, self.f1.int_form(),
                 self.f2.int_form(), self.f3.int_form())
+
+    @cached_property
+    def block_rows(self) -> tuple:
+        """The (a, b, c) of f1, -f1, f2 - f3, f3 and -f3: the term's five
+        network rows, built once per term.  Not a field either."""
+        f1, f2, f3 = self.f1, self.f2, self.f3
+        return ((f1.a, f1.b, f1.c), (-f1.a, -f1.b, -f1.c),
+                (f2.a - f3.a, f2.b - f3.b, f2.c - f3.c),
+                (f3.a, f3.b, f3.c), (-f3.a, -f3.b, -f3.c))
 
     def __call__(self, x: Point) -> Rat:
         inner = max(self.f2(x), self.f3(x))

@@ -10,25 +10,27 @@ first-layer neurons and three second-layer neurons:
     output :  sigma1 * (w1 + w2 - w3)  summed over all blocks.
 
 Blocks are disjoint: term n owns rows 5n..5n+4 and 3n..3n+2, so the whole
-network has O(1) nonzero parameters per term.  Weights stay rational end to
-end in the layers, the exports and the imports.  For exact evaluation each
-network caches an integer form of its layers (ReluNetwork.kernel_form),
-built on its first exact evaluation: every unit gets an integer scale, the
-lcm of the denominators its row needs, and every row stores its weights
-and bias multiplied by it.  ReLU commutes with a positive scale
-(max(e*z, 0) = e*max(z, 0) for e > 0), so forward_layers runs the whole
-pass on ints and eval_network divides once at the end.  The integer form
-computes each distinct hidden row once (value numbering): three of every
-eight hidden rows above negate another row of their block (-f1, -f3, -s),
-and vertex fans and edges share piece affines, so the same layer-1 row
-recurs across blocks.  A hidden row is keyed by its ints up to sign; the
-first row with a key computes z, and every unit with that key reads its
-relu(z) or relu(-z).  The pass runs forward: a layer-1 row adds the one
-of the two that is nonzero into the layer-2 rows that read it, so the
-weights on the zero one cost nothing.  The layers themselves, and so the
-2 / 5N / 3N / 1 template and the export, are unchanged.  The keys are
-the ints alone, so sharing holds for any network, built, imported or
-mutated, and a pair that a mutation breaks is simply not shared.  A
+network has O(1) nonzero parameters per term.  build_network copies layer 1
+from each term's cached MaxTerm.block_rows and layers 2 and 3 from one
+template per sign, so a mutant redoes no arithmetic for the terms it keeps.
+Weights stay rational end to end in the layers, the exports and the
+imports.  For exact evaluation each network caches an integer form of its
+layers (ReluNetwork.kernel_form), built on its first exact evaluation:
+every unit gets an integer scale, the lcm of the denominators its row
+needs, and every row stores its weights and bias multiplied by it.  ReLU
+commutes with a positive scale (max(e*z, 0) = e*max(z, 0) for e > 0), so
+forward_layers runs the whole pass on ints and eval_network divides once at
+the end.  The integer form computes each distinct hidden row once (value
+numbering): three of every eight hidden rows above negate another row of
+their block (-f1, -f3, -s), and vertex fans and edges share piece affines,
+so the same layer-1 row recurs across blocks.  A hidden row is keyed by its
+ints up to sign; the first row with a key computes z, and every unit with
+that key reads its relu(z) or relu(-z).  The pass runs forward: a layer-1
+row adds the one of the two that is nonzero into the layer-2 rows that read
+it, so the weights on the zero one cost nothing.  The layers themselves,
+and so the 2 / 5N / 3N / 1 template and the export, are unchanged.  The
+keys are the ints alone, so sharing holds for any network, built, imported
+or mutated, and a pair that a mutation breaks is simply not shared.  A
 float64 evaluation path (float_form) exists for sanity checks only.
 """
 from __future__ import annotations
@@ -49,8 +51,12 @@ EXACT = "exact"
 FLOAT64 = "float64"
 
 _ZERO = Fraction(0)
-# the +-1 weights of layers 2 and 3, shared: a Fraction is immutable
-_UNIT = {1: Fraction(1), -1: Fraction(-1)}
+# a block's layer-2 (row, column, weight) by sigma2 and output (column,
+# weight) by sigma1; a Fraction is immutable, so blocks share the weights
+_SECOND = {s: tuple((j, k, Fraction(v)) for j, row in enumerate(
+    ((1, -1, -s, -s, s), (0, 0, s, s, -s), (0, 0, -s, -s, s)))
+    for k, v in enumerate(row) if v) for s in (1, -1)}
+_OUT = {s: tuple(enumerate(map(Fraction, (s, s, -s)))) for s in (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -164,21 +170,16 @@ def build_network(terms: TermList) -> ReluNetwork:
     w3: Dict[Tuple[int, int], Rat] = {}
     for i, t in enumerate(terms.terms):
         r0, q0 = 5 * i, 3 * i
-        for j, g in enumerate((t.f1, -t.f1, t.f2 - t.f3, t.f3, -t.f3)):
-            if g.a:
-                w1[r0 + j, 0] = g.a
-            if g.b:
-                w1[r0 + j, 1] = g.b
-            b1.append(g.c)
-        s2 = t.sigma2
-        rows = ((1, -1, -s2, -s2, s2), (0, 0, s2, s2, -s2), (0, 0, -s2, -s2, s2))
-        for j, row in enumerate(rows):
-            for k, v in enumerate(row):
-                if v:
-                    w2[q0 + j, r0 + k] = _UNIT[v]
-        s1 = t.sigma1
-        w3[0, q0] = w3[0, q0 + 1] = _UNIT[s1]
-        w3[0, q0 + 2] = _UNIT[-s1]
+        for r, (a, b, c) in enumerate(t.block_rows, r0):
+            if a:
+                w1[r, 0] = a
+            if b:
+                w1[r, 1] = b
+            b1.append(c)
+        for j, k, w in _SECOND[t.sigma2]:
+            w2[q0 + j, r0 + k] = w
+        for j, w in _OUT[t.sigma1]:
+            w3[0, q0 + j] = w
     return ReluNetwork((
         AffineLayer(5 * n, 2, w1, tuple(b1)),
         AffineLayer(3 * n, 5 * n, w2, (_ZERO,) * (3 * n)),

@@ -27,6 +27,7 @@ from .geometry import (
     Point,
     Rat,
     Ray,
+    ccw_angle_cmp,
     from_homogeneous,
     homogeneous,
     int_direction,
@@ -85,9 +86,9 @@ def _cone_contains(inst: CPAInstance, piece_id: str, vertex_id: str,
     if u == (0, 0):
         raise GeneralPositionError(
             f"{from_homogeneous(hx)} coincides with vertex {vertex_id}")
-    i, on_ray = sector_index(rays, u)
+    i = sector_index(rays, u)
     _, ccw, cw = star[i]
-    if on_ray and piece_id in (ccw, cw):
+    if piece_id in (ccw, cw) and ccw_angle_cmp(rays[0], rays[i], u) == 0:
         raise GeneralPositionError(f"{from_homogeneous(hx)} is aligned with "
                                    f"an edge at vertex {vertex_id}")
     return ccw == piece_id

@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from cpa2relu import cli, maxform, model, network
 from cpa2relu.decompose import decompose, decomposition_to_json
+from cpa2relu.geometry import pt
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -102,6 +104,45 @@ def test_verify_flags_tampered_net(tmp_path, corpus_dir, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "0 failures" not in out
+
+
+@pytest.mark.parametrize("h", [(0, 0, 1), (1, -2, 3)],
+                         ids=["constant", "non-constant"])
+def test_verify_fails_a_wrong_sparsify(corpus_dir, monkeypatch, capsys, h):
+    """A sparsify that adds h to every affine leaves a continuous
+    instance that every later stage matches; verify still exits 1,
+    naming sparsify, the point and both values."""
+    real = cli.sparsify
+    shift = model.AffineFunc(*map(Fraction, h))
+
+    def wrong(inst, **kw):
+        doc = model.serialize_instance(real(inst, **kw))
+        for piece in doc["pieces"].values():
+            f = model.AffineFunc.from_json(piece["affine"])
+            piece["affine"] = (f + shift).to_json()
+        return model.parse_instance(doc)
+
+    monkeypatch.setattr(cli, "sparsify", wrong)
+    rc = cli.run(["verify", str(corpus_dir / "ring_bump.json"),
+                  "--samples", "20"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "0 failures" in out
+    lines = [s for s in out.splitlines() if s.startswith("sparsify: at [")]
+    assert lines
+    for line in lines:
+        x, y, want, got = re.fullmatch(
+            r"sparsify: at \[(\S+), (\S+)\] the input is (\S+), "
+            r"the sparsified instance (\S+)", line).groups()
+        assert Fraction(got) - Fraction(want) == shift(pt(x, y))
+
+
+def test_verify_passes_the_corpus(corpus_dir, capsys):
+    for path in sorted(corpus_dir.glob("*.json")):
+        rc = cli.run(["verify", str(path), "--samples", "30"])
+        out = capsys.readouterr().out
+        assert rc == 0, (path.name, out)
+        assert "sparsify:" not in out, path.name
 
 
 @pytest.mark.parametrize("sub", ["eval", "stats", "verify"])
@@ -464,3 +505,26 @@ def test_one_process_runs_many_calls_like_fresh_ones(tmp_path, corpus_dir,
         assert (rc, out, err) == (fresh.returncode, fresh.stdout,
                                   fresh.stderr), argv
         assert rc == code, argv
+
+
+def test_the_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: importing every one of its
+    modules in a fresh interpreter loads no top-level module outside the
+    standard library, besides those the bare interpreter already holds
+    (site .pth files can preload some, such as _distutils_hack)."""
+    pkg = Path(cli.__file__).resolve().parent
+    names = sorted(f"cpa2relu.{p.stem}" for p in pkg.glob("*.py"))
+    code = ("import sys\n"
+            "bare = {m.split('.')[0] for m in sys.modules}\n"
+            "import importlib, json\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module(name)\n"
+            "top = {m.split('.')[0] for m in sys.modules}\n"
+            "print(json.dumps(sorted(top - bare)))\n")
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    loaded = json.loads(done.stdout)
+    assert "cpa2relu" in loaded
+    assert [m for m in loaded
+            if m != "cpa2relu" and m not in sys.stdlib_module_names] == []

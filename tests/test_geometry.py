@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cpa2relu.geometry import (
-    Direction, Line, Ray, Segment, ccw_sort_directions, cross, dot, dr,
-    edge_base, edge_direction, homogeneous, indented_json, int_direction,
-    orientation, pt, rat_from_json, rat_to_json, same_direction,
-    sector_index, sub, translate,
+    Direction, Line, Ray, Segment, ccw_angle_cmp, ccw_sort_directions, cross,
+    dot, dr, edge_base, edge_direction, homogeneous, indented_json,
+    int_direction, orientation, pt, rat_from_json, rat_to_json,
+    same_direction, sector_index, sub, translate,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
 from cpa2relu.model import (
@@ -115,8 +115,11 @@ def test_sector_index_matches_the_fraction_scan(dirs, opposite, shift, along,
             for i in range(len(order))]
     u = rays[along % len(rays)] if probe is None else probe
     u = Direction(u.dx * scale, u.dy * scale)
-    got = sector_index(tuple(int_direction(d) for d in rays), int_direction(u))
-    assert got == _fraction_sector(rays, u)
+    ints, iu = tuple(int_direction(d) for d in rays), int_direction(u)
+    i = sector_index(ints, iu)
+    # on_ray as sides._cone_contains computes it
+    assert (i, ccw_angle_cmp(ints[0], ints[i], iu) == 0) == \
+        _fraction_sector(rays, u)
 
 
 @given(points)

@@ -327,17 +327,20 @@ def test_term_list_matches_max_terms(ts, x):
 
 
 def test_term_forms_are_lazy_and_invisible(compiled):
-    """reduce and build_network build no integer form; once a sample
-    builds them, equality, hashing and the JSON bytes are unchanged, and
-    a term rebuilt by dataclasses.replace (as a seeded mutation does)
-    does not inherit the form of the term it came from."""
+    """reduce builds no cached form and build_network only block_rows;
+    once a sample builds the integer forms, equality, hashing and the
+    JSON bytes are unchanged, and a term rebuilt by dataclasses.replace
+    (as a seeded mutation does) does not inherit the form of the term it
+    came from."""
     _, slim, dec, built, _ = compiled["ring_bump"]
     terms = reduce(dec, slim.p)
     net = network.build_network(terms)
     assert "kernel_form" not in vars(terms)
     assert not any("int_form" in vars(t) for t in terms.terms)
     assert "kernel_form" not in vars(net)
+    assert all("block_rows" in vars(t) for t in terms.terms)
     twin = reduce(dec, slim.p)
+    assert not any("block_rows" in vars(t) for t in twin.terms)
     before = json.dumps(terms.to_json(), sort_keys=True)
     x = sample_general_position(slim, 1, 1)[0]
     assert terms(x) == model.eval_cpa(slim, x) == network.eval_network(net, x)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cpa2relu import network
+from cpa2relu import corpus, maxform, model, network
+from cpa2relu.decompose import decompose
 from cpa2relu.errors import EmptyTermListError, SchemaError
 from cpa2relu.geometry import pt, rat_to_json
 from cpa2relu.maxform import MaxTerm, TermList
@@ -16,7 +17,7 @@ from cpa2relu.network import (
     EXACT, FLOAT64, build_network, eval_network, export_network,
     import_network, stats,
 )
-from cpa2relu.verify import sample_general_position
+from cpa2relu.verify import sample_general_position, seeded_mutations
 
 
 def aff(a, b, c) -> AffineFunc:
@@ -123,6 +124,60 @@ def test_network_forms_are_lazy_and_invisible(compiled):
     assert json.dumps(export_network(net), sort_keys=True) == before
     assert [f.name for f in dataclasses.fields(network.ReluNetwork)] == \
         ["layers"]
+
+
+def _fresh_terms(doc) -> TermList:
+    """The document's term list, compiled anew: no term has block_rows."""
+    slim = model.sparsify(model.parse_instance(doc))
+    return maxform.reduce(decompose(slim), slim.p)
+
+
+def _export(terms: TermList) -> str:
+    return json.dumps(export_network(build_network(terms)), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed, n_points",
+                         [(s, n) for s in (3, 5, 9) for n in (10, 20, 40)]
+                         + [(None, None)])
+def test_cached_block_rows_build_the_same_bytes(seed, n_points, corpus_docs):
+    """A network built twice from one list, or from terms whose block
+    rows were first cached at other offsets of another list, exports the
+    bytes of the first, cold build.  (None, None) is the corpus."""
+    docs = ([corpus.random_instance(seed, n_points)] if seed is not None
+            else [corpus_docs[name] for name in sorted(corpus_docs)])
+    for doc in docs:
+        terms = _fresh_terms(doc)
+        cold = _export(terms)
+        assert _export(terms) == cold
+        other = _fresh_terms(doc)
+        _export(TermList(other.terms[::-1], other.source_p))
+        assert _export(other) == cold
+
+
+def test_mutants_reuse_the_block_rows_of_the_terms_they_keep(compiled):
+    """A term mutant's list holds the parent's row objects for every term
+    it kept; the term a sign flip made gets the rows a fresh MaxTerm
+    builds."""
+    terms = compiled["random_tri_7"][3]
+    rows = [t.block_rows for t in terms.terms]
+    muts = seeded_mutations(terms, seed=1005, count=20)
+    assert {"flip_sigma1", "flip_sigma2", "drop_term"} <= \
+        {m.kind for m in muts}
+    for m in muts:
+        got = [t.block_rows for t in m.terms.terms]
+        if m.kind == "perturb_weight":
+            assert all(g is r for g, r in zip(got, rows))
+            continue
+        i = int(m.detail.split()[1])
+        if m.kind == "drop_term":
+            kept = rows[:i] + rows[i + 1:]
+        else:
+            t = m.terms.terms[i]
+            assert got[i] == MaxTerm(t.sigma1, t.f1, t.sigma2, t.f2,
+                                     t.f3).block_rows
+            kept = rows[:i] + [got[i]] + rows[i + 1:]
+        assert len(got) == len(kept)
+        assert all(g is r for g, r in zip(got, kept))
 
 
 def test_unknown_mode_rejected(compiled):
