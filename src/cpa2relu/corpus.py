@@ -8,6 +8,7 @@ and a nested-ring function whose every vertex has degree three or four.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .model import parse_instance, serialize_instance, validate
 DEFAULT_RANDOM_SEED = 7
 RANDOM_COORD_RANGE = 9  # random_instance draws integer coordinates in [-9, 9]
 RANDOM_MAX_ATTEMPTS = 32
-LAWSON_MAX_PASSES = 64
+LAWSON_MAX_FLIPS = 64
 
 
 def single_piece() -> dict:
@@ -325,7 +326,8 @@ BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# Random bounded triangulations (Delaunay via incremental insert + flips)
+# Random bounded triangulations: incremental insertion, then capped Lawson
+# flips (not always Delaunay)
 
 def _orient(a, b, c) -> int:
     return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
@@ -363,19 +365,34 @@ def _has_directed(tri, u, v) -> bool:
     return any(tri[i] == u and tri[(i + 1) % 3] == v for i in range(3))
 
 
+def _edge_key(p, q):
+    return (p, q) if p < q else (q, p)
+
+
 def _lawson_flips(tris):
-    """Flip non-Delaunay interior edges until none remain."""
-    for _ in range(LAWSON_MAX_PASSES):
-        edge_tris: dict = {}
-        for idx, tri in enumerate(tris):
-            for i in range(3):
-                key = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                edge_tris.setdefault(key, []).append(idx)
-        flipped = False
-        for (u, v), owners in sorted(edge_tris.items()):
-            if len(owners) != 2:
+    """Flip non-Delaunay interior edges, at most LAWSON_MAX_FLIPS of them.
+
+    Each flip takes the smallest flippable edge key, its owners in
+    triangle-index order.  A heap holds every key that may be flippable:
+    all edges at first, then the five edges each flip touched (the new
+    diagonal and the four quad edges); a key is tested when popped.
+    The cap can stop before the triangulation is Delaunay: it does for
+    seeds 5 and 7 of 3/5/7/9 at n_points 40, and for all four at 80 and
+    320.  Changing it would change every pinned draw.
+    """
+    owners: dict = {}
+    for idx, tri in enumerate(tris):
+        for i in range(3):
+            owners.setdefault(_edge_key(tri[i], tri[(i + 1) % 3]),
+                              []).append(idx)
+    heap = sorted(owners)
+    for _ in range(LAWSON_MAX_FLIPS):
+        while heap:
+            u, v = heapq.heappop(heap)
+            own = owners.get((u, v))
+            if own is None or len(own) != 2:
                 continue
-            i1, i2 = owners
+            i1, i2 = own
             t1, t2 = tris[i1], tris[i2]
             c1 = next(p for p in t1 if p != u and p != v)
             c2 = next(p for p in t2 if p != u and p != v)
@@ -384,13 +401,18 @@ def _lawson_flips(tris):
             if not _has_directed(t1, u, v):
                 u, v = v, u
             new1, new2 = (u, c2, c1), (c2, v, c1)
-            if _orient(*new1) <= 0 or _orient(*new2) <= 0:
-                continue
-            tris[i1], tris[i2] = new1, new2
-            flipped = True
-            break
-        if not flipped:
+            if _orient(*new1) > 0 and _orient(*new2) > 0:
+                break
+        else:
             return
+        tris[i1], tris[i2] = new1, new2
+        del owners[_edge_key(u, v)]
+        diag, vc1, uc2 = _edge_key(c1, c2), _edge_key(v, c1), _edge_key(u, c2)
+        owners[diag] = [i1, i2]
+        owners[vc1] = sorted(i2 if i == i1 else i for i in owners[vc1])
+        owners[uc2] = sorted(i1 if i == i2 else i for i in owners[uc2])
+        for key in (diag, _edge_key(u, c1), vc1, uc2, _edge_key(v, c2)):
+            heapq.heappush(heap, key)
 
 
 def _plane_through(p1, z1, p2, z2, p3, z3):
@@ -439,6 +461,12 @@ def random_instance(seed: int = DEFAULT_RANDOM_SEED, n_points: int = 10) -> dict
 
 
 def _random_attempt(rng: random.Random, n_points: int):
+    """One draw from rng, or None when it degenerates.
+
+    Two steps stay quadratic in n_points: point location scans every
+    triangle per inserted point, and each witness is tested against
+    every edge's line (about 40% of the attempt at n_points 320).
+    """
     pts: set = set()
     guard = 0
     while len(pts) < n_points:
@@ -487,7 +515,7 @@ def _random_attempt(rng: random.Random, n_points: int):
     edge_owner: dict = {}
     for ti, tri in enumerate(tris):
         for i in range(3):
-            key = tuple(sorted((tri[i], tri[(i + 1) % 3])))
+            key = _edge_key(tri[i], tri[(i + 1) % 3])
             edge_owner.setdefault(key, []).append(f"t{ti}")
     eid = {key: f"e{vid[key[0]][1:]}_{vid[key[1]][1:]}"
            for key in sorted(edge_owner)}
@@ -521,7 +549,7 @@ def _random_attempt(rng: random.Random, n_points: int):
                 break
         if witness is None:
             return None
-        cyc = [eid[tuple(sorted((tri[i], tri[(i + 1) % 3])))] for i in range(3)]
+        cyc = [eid[_edge_key(tri[i], tri[(i + 1) % 3])] for i in range(3)]
         doc["pieces"][f"t{ti}"] = {
             "affine": [rat_to_json(pa), rat_to_json(pb), rat_to_json(pc)],
             "witness": [rat_to_json(witness[0]), rat_to_json(witness[1])],
@@ -538,7 +566,7 @@ def _random_attempt(rng: random.Random, n_points: int):
             break
     if out_w is None:
         return None
-    hull_cycle = [eid[tuple(sorted((hull[i], hull[(i + 1) % len(hull)])))]
+    hull_cycle = [eid[_edge_key(hull[i], hull[(i + 1) % len(hull)])]
                   for i in range(len(hull))]
     doc["pieces"]["out"] = {
         "affine": [ga, gb, gc],

@@ -338,18 +338,19 @@ def int_line(e: EdgeGeom) -> tuple[int, int, int]:
 
     A*x + B*y + C is positive strictly to the left of the edge direction,
     zero on the hull.  The scale factor is positive so orientation is
-    preserved.
+    preserved.  Computed on integers: a segment's line is the cross
+    product of its ends' homogeneous forms, a ray's or a line's is that
+    of its base with the point at infinity of int_direction(d); the
+    primitive positive multiple is then unique.
     """
-    p = edge_base(e)
-    d = edge_direction(e)
-    a = -d.dy
-    b = d.dx
-    c = d.dy * p.x - d.dx * p.y
-    den = a.denominator * b.denominator * c.denominator
-    ai = a.numerator * (den // a.denominator)
-    bi = b.numerator * (den // b.denominator)
-    ci = c.numerator * (den // c.denominator)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
+    X, Y, W = homogeneous(edge_base(e))
+    if isinstance(e, Segment):
+        X2, Y2, W2 = homogeneous(e.b)
+        a, b, c = Y * W2 - W * Y2, W * X2 - X * W2, X * Y2 - Y * X2
+    else:
+        dx, dy = int_direction(e.d)
+        a, b, c = -dy * W, dx * W, dy * X - dx * Y
+    g = gcd(a, b, c)
     if g > 1:
-        ai, bi, ci = ai // g, bi // g, ci // g
-    return (ai, bi, ci)
+        a, b, c = a // g, b // g, c // g
+    return (a, b, c)

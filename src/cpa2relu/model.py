@@ -78,9 +78,6 @@ class AffineFunc:
     def __add__(self, other: "AffineFunc") -> "AffineFunc":
         return AffineFunc(self.a + other.a, self.b + other.b, self.c + other.c)
 
-    def __sub__(self, other: "AffineFunc") -> "AffineFunc":
-        return AffineFunc(self.a - other.a, self.b - other.b, self.c - other.c)
-
     def __neg__(self) -> "AffineFunc":
         return AffineFunc(-self.a, -self.b, -self.c)
 

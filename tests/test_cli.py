@@ -47,6 +47,36 @@ def test_validate_broken_instance(tmp_path, corpus_dir, capsys):
     assert json.loads(captured.out)["ok"] is False
 
 
+@pytest.mark.parametrize("sub", ["compile", "verify"])
+def test_invalid_instance_stops_compile_and_verify(tmp_path, corpus_dir,
+                                                   capsys, sub):
+    """An instance that parses but fails validate exits 1, in process and
+    fresh: one validate: line per failure, then error:, no traceback."""
+    doc = json.loads((corpus_dir / "hat.json").read_text())
+    doc["pieces"]["NE"]["affine"] = [-1, -1, 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    net = tmp_path / "bad.net.json"
+    argv = {"compile": ["compile", str(bad), "-o", str(net)],
+            "verify": ["verify", str(bad), "--samples", "10"]}[sub]
+    report = model.validate(model.parse_instance(doc))
+    want = [f"validate: {c.name}: {m}" for c in report.checks
+            for m in c.failures]
+    assert want and not report.ok
+    rc = cli.run(argv)
+    out, err = capsys.readouterr()
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "cpa2relu", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines() == want + [
+        f"error: instance {bad} failed validation"]
+    assert not net.exists()
+
+
 def test_compile_eval_round_trip(tmp_path, corpus_dir, capsys):
     net = tmp_path / "ring.net.json"
     assert cli.run(["compile", str(corpus_dir / "ring_bump.json"),

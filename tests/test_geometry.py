@@ -1,6 +1,6 @@
 """Exact-predicate properties: orientation, CCW sorting and sectors,
-homogeneous points, crossing parity, points on edges and clean edge
-intersections."""
+homogeneous points, integer hull lines, crossing parity, points on edges
+and clean edge intersections."""
 import json
 import math
 from fractions import Fraction
@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cpa2relu.geometry import (
     Direction, Line, Ray, Segment, ccw_angle_cmp, ccw_sort_directions, cross,
     dot, dr, edge_base, edge_direction, homogeneous, indented_json,
-    int_direction, orientation, pt, rat_from_json, rat_to_json,
-    same_direction, sector_index, sub, translate,
+    int_direction, int_line, line_sign, orientation, pt, rat_from_json,
+    rat_to_json, same_direction, sector_index, sub, translate,
 )
 from cpa2relu.errors import DuplicateDirectionError, SchemaError
 from cpa2relu.model import (
@@ -127,6 +127,42 @@ def test_homogeneous_round_trips(p):
     X, Y, W = homogeneous(p)
     assert W > 0
     assert (Fraction(X, W), Fraction(Y, W)) == (p.x, p.y)
+
+
+def _fraction_int_line(e):
+    """The hull line on Fractions: (-dy, dx, dy*x - dx*y) at the edge's
+    base, cleared of denominators, then divided by its gcd when that
+    exceeds 1."""
+    p, d = edge_base(e), edge_direction(e)
+    rs = (-d.dy, d.dx, d.dy * p.x - d.dx * p.y)
+    den = math.prod(r.denominator for r in rs)
+    a, b, c = (r.numerator * (den // r.denominator) for r in rs)
+    g = math.gcd(a, b, c)
+    return (a // g, b // g, c // g) if g > 1 else (a, b, c)
+
+
+rat_dirs = st.builds(dr, rats, rats)
+hull_edges = st.one_of(st.builds(Segment, points, points),
+                       st.builds(Ray, points, rat_dirs),
+                       st.builds(Line, points, rat_dirs))
+
+
+@given(hull_edges, st.integers(1, 10 ** 6))
+@example(Segment(pt("-1/3", 2), pt("-1/3", 2)), 1)
+@example(Line(pt(0, 0), dr(0, 0)), 1)
+@example(Ray(pt("-7/2", "5/3"), dr("-2/9", "4/3")), 10 ** 6)
+def test_int_line_matches_the_fraction_formula(e, k):
+    line = int_line(e)
+    assert line == _fraction_int_line(e)
+    d = edge_direction(e)
+    if d.dx == d.dy == 0:
+        assert line == (0, 0, 0)
+        return
+    assert math.gcd(*line) == 1
+    mid = translate(edge_base(e), d, Fraction(1, 2))
+    left = translate(mid, Direction(-d.dy, d.dx), Fraction(1, k))
+    assert line_sign(*line, *homogeneous(mid)) == 0
+    assert line_sign(*line, *homogeneous(left)) == 1
 
 
 @given(st.lists(points, min_size=3, max_size=6), points, int_dirs)

@@ -3,12 +3,14 @@
 The SHA-256 digests below pin, per instance: the exported network, the
 decomposition dump, the serialized sparsified instance, the verifier's
 report at 200 samples and the lemma suite's report at 100 samples on
-the parsed and on the sparsified instance.  The exported network of
-seeded random_instance(3, n) draws is pinned too: their fans reach
-degree 25, against 6 in the corpus.  For random_instance(s, n) with s in
-{5, 9}, the term list and the validation report of a broken copy of the
-draw (one vertex moved, one witness put on a vertex) are pinned, so the
-reduction's and validate's failure messages and their order are fixed.
+the parsed and on the sparsified instance.  The document that
+random_instance(s, n) returns is pinned for s in {3, 5, 7, 9} and n in
+{10, 20, 40, 80}, and so is the exported network of random_instance(3,
+n): its fans reach degree 25, against 6 in the corpus.  For
+random_instance(s, n) with s in {5, 9}, the term list and the
+validation report of a broken copy of the draw (one vertex moved, one
+witness put on a vertex) are pinned, so the reduction's and validate's
+failure messages and their order are fixed.
 The (kind, detail) lists of seeded_mutations on ring_bump and
 random_tri_7 are pinned, screened at the verifier's samples and at the
 mutator's own probe points.  A change that alters any of these bytes
@@ -152,6 +154,34 @@ def test_outputs_are_byte_identical(name, corpus_docs):
 
 def test_digests_cover_the_corpus():
     assert sorted(DIGESTS) == sorted(corpus.all_documents())
+
+
+# (seed, n_points) -> the document random_instance(seed, n_points) returns;
+# at n_points 40 and 80 the flip cap stops some of these short of Delaunay
+RANDOM_DOC_DIGESTS = {
+    (3, 10): "9571556fc81cc583bdd8a452be8882e4af3235edfc516b26488ecec78363d966",
+    (3, 20): "e393f9ca22513970536e7d75aae13f3194c9b31d626e64c0d9cb02489f70dc77",
+    (3, 40): "7bfb08fa5cc6fc25dce21111cfc2ce1d43ee6d7ca720e405fbc524fd3e7ba691",
+    (3, 80): "35dad8b0d9ca4c597236fdb72671066eebf6cd44e5189651888c147da8aa5bca",
+    (5, 10): "2e20a64c67928e8c428afcfcb958e58b7e863084afab7bcaae54e77dc47decf5",
+    (5, 20): "6c4896509b7b9b555c38d03466ef317ea8289b049144980b59169802d1065ad6",
+    (5, 40): "b13601bcc0c116239db12f661fe2914e30e7fb81ce4e2adb74d110d930275706",
+    (5, 80): "95c68d50fa01b2a3a4329b621367b309e40a53ff87015721c85b5359592fb43e",
+    (7, 10): "4109a0af100fa4e3911b75bbf8d8a273ce5b7a5064893a8ccf0767013a86db95",
+    (7, 20): "37fd008458e4f5c86e0604c78985eabfcf165d7562242e9c75e28da3f8566409",
+    (7, 40): "e20a5be00e4bbbcca155a97d803cbc128622022fc75ff877efc0ed07f8fc9b76",
+    (7, 80): "fe907ca027da51543feff53420627c7af4243ae53fbc626697becfc3e82dc061",
+    (9, 10): "1c088cd4edbe5e3d8080b87174e60df5a590d9edd1bb4b7841d3d955a4bfc9da",
+    (9, 20): "e27d458b4b1c7e40a7d8d20ea77714ed4a71dc48d6dbd39a3d0451c1f11eca96",
+    (9, 40): "11e18a78a1ed969eeeb236ab15d5ee0541d8c9a715ac6bf52403c18c5455a2cd",
+    (9, 80): "4c11fdd1a5f2590bd72bc409a1b42ac874d3324b7f7bbf4796d562ff592d9e2c",
+}
+
+
+@pytest.mark.parametrize("seed, n_points", sorted(RANDOM_DOC_DIGESTS))
+def test_random_draws_are_byte_identical(seed, n_points):
+    got = _sha(corpus.random_instance(seed, n_points))
+    assert got == RANDOM_DOC_DIGESTS[seed, n_points]
 
 
 @pytest.mark.parametrize("n_points", sorted(RANDOM_EXPORT_DIGESTS))
