@@ -23,8 +23,9 @@ from .model import (eval_cpa, parse_instance, serialize_instance, sparsify,
 from .network import (EXACT, FLOAT64, build_network, eval_network,
                       export_network, import_network, stats)
 from .render import render_svg, stroke_width
-from .verify import (sample_general_position, verify_equivalence,
-                     verify_lemma_suite)
+# verify_equivalence stays bound here for callers that look it up on
+# this module; the verify command runs its core, _equivalence
+from .verify import _equivalence, verify_equivalence, verify_lemma_suite
 
 _MODES = {"exact": EXACT, "f64": FLOAT64}
 
@@ -212,14 +213,14 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _sparsify_mismatches(inst, slim, n: int, seed: int) -> list[str]:
-    """A line for each point of verify_equivalence's sample stream at
-    which the sparsified instance's value differs from the input's:
-    verify_equivalence checks every later stage against the sparsified
-    instance alone."""
+def _sparsify_mismatches(inst, pts, refs) -> list[str]:
+    """A line for each of verify_equivalence's sample points pts at which
+    the input instance's value differs from refs, the sparsified
+    instance's values there: verify_equivalence checks every later stage
+    against the sparsified instance alone."""
     out = []
-    for x in sample_general_position(slim, seed, n):
-        want, got = eval_cpa(inst, x), eval_cpa(slim, x)
+    for x, got in zip(pts, refs):
+        want = eval_cpa(inst, x)
         if want != got:
             out.append(f"sparsify: at [{rat_to_json(x.x)}, "
                        f"{rat_to_json(x.y)}] the input is "
@@ -234,11 +235,11 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         net = import_network(_read_json(ns.net))
     else:
         net = build_network(terms)
-    report = verify_equivalence(slim, dec, terms, net,
-                                n=ns.samples, seed=ns.seed)
+    report, pts, refs = _equivalence(slim, dec, terms, net,
+                                     ns.samples, ns.seed)
     print(report.summary())
     print(f"{len(report.failures)} failures")
-    wrong = _sparsify_mismatches(inst, slim, ns.samples, ns.seed)
+    wrong = _sparsify_mismatches(inst, pts, refs)
     for line in wrong[:5]:
         print(line)
     if len(wrong) > 5:

@@ -20,18 +20,21 @@ every unit gets an integer scale, the lcm of the denominators its row
 needs, and every row stores its weights and bias multiplied by it.  ReLU
 commutes with a positive scale (max(e*z, 0) = e*max(z, 0) for e > 0), so
 forward_layers runs the whole pass on ints and eval_network divides once at
-the end.  The integer form computes each distinct hidden row once (value
-numbering): three of every eight hidden rows above negate another row of
-their block (-f1, -f3, -s), and vertex fans and edges share piece affines,
-so the same layer-1 row recurs across blocks.  A hidden row is keyed by its
-ints up to sign; the first row with a key computes z, and every unit with
-that key reads its relu(z) or relu(-z).  The pass runs forward: a layer-1
-row adds the one of the two that is nonzero into the layer-2 rows that read
-it, so the weights on the zero one cost nothing.  The layers themselves,
-and so the 2 / 5N / 3N / 1 template and the export, are unchanged.  The
-keys are the ints alone, so sharing holds for any network, built, imported
-or mutated, and a pair that a mutation breaks is simply not shared.  A
-float64 evaluation path (float_form) exists for sanity checks only.
+the end.  The integer form numbers each distinct hidden row once, up to
+sign (value numbering): three of every eight hidden rows above negate
+another row of their block (-f1, -f3, -s), and vertex fans and edges share
+piece affines, so the same layer-1 row recurs across blocks.  A reader's
+weights u on relu(z) and d on relu(-z) then fold by
+u*relu(z) + d*relu(-z) = (u + d)*relu(z) - d*z, with -d*z going into the
+reader's affine part, so every unit the pass computes is an integer affine
+in (X, Y, W) plus relu reads of earlier rows, and a row goes through a
+ReLU only where some reader's u + d is nonzero.  In a block that leaves
+f2 - f3 and f1 - s: f1, f3 and s reach the output linearly.  The layers
+themselves, and so the 2 / 5N / 3N / 1 template and the export, are
+unchanged.  The keys and the fold read the ints alone, so they hold for
+any network, built, imported or mutated, and a pair that a mutation
+breaks keeps a ReLU read of weight u + d.  A float64 evaluation path
+(float_form) exists for sanity checks only.
 """
 from __future__ import annotations
 
@@ -115,42 +118,68 @@ class ReluNetwork:
         Each unit c has an integer scale e_c > 0 (_int_parts), and the
         pass carries A_c = e_c * W * a_c in place of the unit's exact
         value a_c at (X/W, Y/W), so x and y (scale 1) enter as X and Y.
-        Units whose rows hold the same ints carry the same A, and a row
-        whose ints are negated carries relu(-z) where the other carries
-        relu(z), so each hidden layer keeps each distinct nonzero row, up
-        to sign, once (_first_rows, _second_rows); a unit whose row is
-        zero is always 0 and is read by nothing.  The pass runs forward:
-        each kept layer-1 row computes z = a*X + b*Y + c*W and adds its
-        relu(z) or relu(-z), whichever is nonzero, into the layer-2 rows
-        that read it.
-            first  = ((a, b, c, up, down), ...) the layer-1 rows read by
-                     some layer-2 row; up and down are ((i, w), ...),
-                     adding w*relu(z) or w*relu(-z) into layer-2 row i
-            second = (B, ...), layer-2 row i starting at B*W
-            out    = (B, ((wp, wn), ...)), the output B and the weights
-                     of relu(z) and relu(-z) of each layer-2 row
-        Weights from units that read one value are summed, so each i
-        occurs at most once in an up or down list; the output is not
-        ReLU'd, and scale is its unit's e.  Not a field, so equality and
-        the export never see it.
+        Each hidden layer keeps each distinct nonzero row, up to sign,
+        once (_first_rows, _second_rows): a unit reads relu(z) or
+        relu(-z) of its row, and a unit whose row is zero is always 0.
+        A reader's weights u on relu(z) and d on relu(-z) become
+        (u + d)*relu(z) - d*z, with -d*z in the reader's affine part, so
+        only a row that some reader gives u + d != 0 goes through a ReLU:
+            first  = ((a, b, c, reads), ...) those layer-1 rows; reads
+                     is ((i, w), ...), adding w*relu(z) into second[i]
+            second = ((a, b, c), ...) the affine parts of those layer-2
+                     rows, and last the output's
+            out    = (w, ...) each such layer-2 row's output weight
+        The output is not ReLU'd, and scale is its unit's e.  Not a
+        field, so equality and the export never see it.
         """
         l1, l2, l3 = self.layers
         rows1, units, scales = _first_rows(l1)
         rows2, units, scales = _second_rows(l2, scales, units)
-        (out,), (bo,), (e,) = _slot_rows(l3, scales, units)
-        # slot 2k of a layer is relu(z) of its row k, slot 2k + 1 relu(-z)
-        reads: list[list] = [[] for _ in range(2 * len(rows1))]
-        for i, (pairs, _) in enumerate(rows2):
+        flat, ((bn, bd),), (e,) = _int_parts(l3, scales)
+        bo = bn * (e // bd)
+        # the output reads layer-2 row P with u + d, and its d*relu(-P)
+        # leaves -d*P, whose slot weights it reads on layer 1 directly
+        out = [0] * len(rows2)
+        lin: dict = {}
+        for _, c, n, d in flat:
+            s = units[c]
+            if s is None:
+                continue
+            w = n * (e // d)
+            j = s >> 1
+            out[j] += w
+            if s & 1:
+                pairs, b = rows2[j]
+                bo -= w * b
+                for s1, v in pairs:
+                    lin[s1] = lin.get(s1, 0) - w * v
+        kept = [j for j, t in enumerate(out) if t]
+        readers = [rows2[j] for j in kept]
+        readers.append((((s, w) for s, w in lin.items() if w), bo))
+        # reader i's weight d on relu(-z) adds d to its read of relu(z)
+        # and -d*z to its affine part; while i is folded its reads are
+        # last in each reads[k], so a second read of z merges there, and
+        # a zero sum is dropped
+        reads: list[list] = [[] for _ in rows1]
+        second = []
+        for i, (pairs, c0) in enumerate(readers):
+            x = y = 0
             for s, w in pairs:
-                reads[s].append((i, w))
-        first = tuple((*row, tuple(up), tuple(down))
-                      for row, up, down in zip(rows1, reads[::2], reads[1::2])
-                      if up or down)
-        wts = [0] * (2 * len(rows2))
-        for s, w in out.items():
-            wts[s] = w
-        return (first, tuple(b for _, b in rows2),
-                (bo, tuple(zip(wts[::2], wts[1::2]))), e)
+                k = s >> 1
+                if s & 1:
+                    a, b, c = rows1[k]
+                    x -= w * a
+                    y -= w * b
+                    c0 -= w * c
+                rk = reads[k]
+                if rk and rk[-1][0] == i:
+                    w += rk.pop()[1]
+                    if not w:
+                        continue
+                rk.append((i, w))
+            second.append((x, y, c0))
+        first = tuple((*row, tuple(r)) for row, r in zip(rows1, reads) if r)
+        return first, tuple(second), tuple(out[j] for j in kept), e
 
     @cached_property
     def float_form(self):
@@ -188,13 +217,13 @@ def build_network(terms: TermList) -> ReluNetwork:
 
 
 def _int_parts(layer: AffineLayer, scales) -> tuple[list, list, list]:
-    """(flat, bias, es) for a layer whose input unit c has integer scale
-    s_c (1 for x and y).
+    """(flat, bias, es) for a later layer whose input unit c has integer
+    scale s_c.
 
-    Row q gets e_q = lcm(den b_q, den w_qc * s_c over its weights) and
+    Row q gets e_q = lcm(den b_q, den w_qc / s_c over its weights) and
     stores W_qc = w_qc * e_q / s_c and B_q = b_q * e_q, both ints; e_q
     becomes the scale of unit q.  flat holds (r, c, n, d) per weight,
-    w_rc * s_c = n/d, and bias (n, d) per row, so W_rc = n * (e_r // d)
+    w_rc / s_c = n/d, and bias (n, d) per row, so W_rc = n * (e_r // d)
     and likewise B_r.  Built on numerators and denominators only.
     """
     bias = [b.as_integer_ratio() for b in layer.bias]
@@ -214,17 +243,22 @@ def _first_rows(layer: AffineLayer) -> tuple[list, list, list]:
     """Layer 1's distinct nonzero rows as int triples (a, b, c), the slot
     each unit reads and the unit scales.
 
-    A row is keyed by its ints up to sign: its first nonzero coefficient
-    is made positive.  Row k, the k-th distinct key, has the slots 2k,
-    relu(z), and 2k + 1, relu(-z); a unit reads the slot of its own
-    orientation, and a unit whose row is zero reads None."""
-    flat, bias, es = _int_parts(layer, (1, 1))
-    ints = [[0, 0, bn * (e // bd)] for (bn, bd), e in zip(bias, es)]
-    for r, c, n, d in flat:
-        ints[r][c] = n * (es[r] // d)
+    Row q's scale is the lcm of the denominators of its x, y and bias
+    coefficients, as _int_parts gives with s = 1 for x and y.  A row is
+    keyed by its ints up to sign: its first nonzero coefficient is made
+    positive.  Row k, the k-th distinct key, has the slots 2k, relu(z),
+    and 2k + 1, relu(-z); a unit reads the slot of its own orientation,
+    and a unit whose row is zero reads None."""
+    cols = ([(0, 1)] * layer.rows, [(0, 1)] * layer.rows)
+    for (r, c), w in layer.weights.items():
+        cols[c][r] = w.as_integer_ratio()
     seen: dict = {}
-    rows, units = [], []
-    for a, b, c in ints:
+    rows, units, es = [], [], []
+    for (an, ad), (bn, bd), bias in zip(*cols, layer.bias):
+        cn, cd = bias.as_integer_ratio()
+        e = lcm(ad, bd, cd)
+        es.append(e)
+        a, b, c = an * (e // ad), bn * (e // bd), cn * (e // cd)
         lead = a or b or c
         if not lead:
             units.append(None)
@@ -238,35 +272,30 @@ def _first_rows(layer: AffineLayer) -> tuple[list, list, list]:
     return rows, units, es
 
 
-def _slot_rows(layer: AffineLayer, scales, units) -> tuple[list, list, list]:
-    """A later layer on the slots of the layer before: per row a dict
-    {slot: W} and B, and the layer's unit scales.  A weight on a unit
-    that reads no slot is dropped, since that unit is always 0; weights
-    on one slot are summed, and a zero sum is dropped."""
+def _second_rows(layer: AffineLayer, scales, units) -> tuple[list, list, list]:
+    """Layer 2's distinct nonzero rows as (pairs, B), pairs holding
+    (slot, W) per layer-1 slot the row reads, the slot each unit reads
+    and the unit scales.  A weight on a unit that reads no slot is
+    dropped, since that unit is always 0; weights on one slot are
+    summed, and a zero sum is dropped.  Rows are keyed up to sign as in
+    _first_rows: the first weight, or B when there is none, is made
+    positive."""
     flat, bias, es = _int_parts(layer, scales)
-    rows: list[dict] = [{} for _ in es]
+    slotted: list[dict] = [{} for _ in es]
     for r, c, n, d in flat:
         s = units[c]
         if s is not None:
-            row = rows[r]
+            row = slotted[r]
             w = n * (es[r] // d)
             if s in row:
                 w += row.pop(s)
                 if not w:
                     continue
             row[s] = w
-    return rows, [bn * (e // bd) for (bn, bd), e in zip(bias, es)], es
-
-
-def _second_rows(layer: AffineLayer, scales, units) -> tuple[list, list, list]:
-    """Layer 2's distinct nonzero rows as (pairs, B) on layer 1's slots
-    (_slot_rows), the slot each unit reads and the unit scales, keyed up
-    to sign as in _first_rows: the first weight, or B when there is
-    none, is made positive."""
-    slotted, bs, es = _slot_rows(layer, scales, units)
     seen: dict = {}
     rows, units = [], []
-    for row, b in zip(slotted, bs):
+    for row, (bn, bd), e in zip(slotted, bias, es):
+        b = bn * (e // bd)
         pairs = tuple(row.items())
         lead = pairs[0][1] if pairs else b
         if not lead:
@@ -286,27 +315,22 @@ def _second_rows(layer: AffineLayer, scales, units) -> tuple[list, list, list]:
 def forward_layers(first, second, out, scale, X, Y, W):
     """Exact output of an integer 2 -> n1 -> n2 -> 1 ReLU network at
     (X/W, Y/W), W > 0, from a ReluNetwork.kernel_form (see there), as a
-    pair (A, scale*W) whose quotient is the output.  ReLU is
-    max(A_c, 0), exact because e_c*W > 0.  Of relu(z) and relu(-z) at
-    most one is nonzero, so each layer-1 row adds only the weights that
-    read that one, and a zero z adds nothing.
+    pair (A, scale*W) whose quotient is the output.  Each kept layer-2
+    row and the output start at their affine parts; each kept layer-1
+    row adds its relu(z) into the rows that read it, and each kept
+    layer-2 row its relu into the output.  ReLU is max(A_c, 0), exact
+    because e_c*W > 0, and a z <= 0 adds nothing.
     """
-    acc = [b * W for b in second]
-    for a, b, c, up, down in first:
+    acc = [a * X + b * Y + c * W for a, b, c in second]
+    for a, b, c, reads in first:
         z = a * X + b * Y + c * W
         if z > 0:
-            for i, w in up:
+            for i, w in reads:
                 acc[i] += w * z
-        elif z:
-            for i, w in down:
-                acc[i] -= w * z
-    b, weights = out
-    n = b * W
-    for z, (wp, wn) in zip(acc, weights):
+    n = acc.pop()
+    for z, w in zip(acc, out):
         if z > 0:
-            n += wp * z
-        elif z:
-            n -= wn * z
+            n += w * z
     return n, scale * W
 
 

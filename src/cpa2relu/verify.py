@@ -144,10 +144,20 @@ def verify_equivalence(inst: CPAInstance, dec: Decomposition,
     diverges from the instance evaluation, so a bad run pinpoints the
     broken transformation rather than just "wrong output".
     """
+    return _equivalence(inst, dec, terms, net, n, seed)[0]
+
+
+def _equivalence(inst: CPAInstance, dec: Decomposition, terms: TermList,
+                 net: ReluNetwork, n: int,
+                 seed: int) -> tuple[VerifyReport, list, list]:
+    """verify_equivalence's report, its sample points and the instance's
+    value at each of them."""
     pts = sample_general_position(inst, seed, n) if n > 0 else []
+    refs = []
     failures = []
     for i, x in enumerate(pts):
         ref = eval_cpa(inst, x)
+        refs.append(ref)
         vals = {"cpa": ref,
                 "decompose": eval_decomposition(dec, x),
                 "terms": terms(x),
@@ -160,8 +170,10 @@ def verify_equivalence(inst: CPAInstance, dec: Decomposition,
                 "stage_values": {k: rat_to_json(v) for k, v in vals.items()},
                 "first_divergence": first,
             })
-    return VerifyReport(samples=len(pts), seed=seed, failures=tuple(failures),
-                        identity_stats={}, bound_checks=stats(net, inst.p))
+    report = VerifyReport(samples=len(pts), seed=seed,
+                          failures=tuple(failures), identity_stats={},
+                          bound_checks=stats(net, inst.p))
+    return report, pts, refs
 
 
 def _euler_diagnostic(inst: CPAInstance) -> dict:

@@ -8,9 +8,10 @@ from math import gcd, lcm
 from hypothesis import given, strategies as st
 
 from cpa2relu import network
-from cpa2relu.geometry import line_sign
+from cpa2relu.geometry import line_sign, pt
 from cpa2relu.maxform import MaxTerm, TermList, eval_terms
 from cpa2relu.model import AffineFunc
+from cpa2relu.verify import sample_general_position
 
 ints = st.integers(-10**6, 10**6)
 pos = st.integers(1, 10**6)
@@ -144,10 +145,15 @@ def test_forward_layers_matches_fractions(p, data):
 # by 1 (the seeded weight mutation inside a shared pair); "copy",
 # "neg_far" and "double" repeat, negate (skipping the row just before) or
 # double an earlier row; "collide" gives a layer-2 row weights on two
-# layer-1 units with equal rows, which sum, or cancel, on one slot
+# layer-1 units with equal rows, which sum, or cancel, on one slot;
+# "pair" gives it weights w and -w + delta on two layer-1 units with
+# negated rows, relu(z) and relu(-z): delta = 0 makes the pair the
+# linear w*z, and the others leave a ReLU read of weight delta
 ROW_KINDS = ("free", "neg", "neg", "zero", "bias_kept", "weight_off",
-             "other_col", "bump", "copy", "neg_far", "double", "collide")
+             "other_col", "bump", "copy", "neg_far", "double", "collide",
+             "pair", "pair")
 SCALE = {"copy": 1, "neg_far": -1, "double": 2}
+DELTAS = st.sampled_from([0, 0, 1, Fraction(-1, 3)])
 
 
 def _free_row(data, cols):
@@ -156,9 +162,10 @@ def _free_row(data, cols):
     return {c: data.draw(weights) for c in keys}, data.draw(biases)
 
 
-def _row(data, kind, made, cols, twins):
+def _row(data, kind, made, cols, twins, negs):
     """One row {col: weight}, bias, from the rows made before it and,
-    in layer 2, the layer-1 units with equal rows (twins)."""
+    in layer 2, the layer-1 units with equal rows (twins) and with
+    negated rows (negs)."""
     earlier = made[:-1] if kind == "neg_far" else made
     if kind in SCALE and earlier:
         pw, pb = data.draw(st.sampled_from(earlier))
@@ -172,6 +179,13 @@ def _row(data, kind, made, cols, twins):
             w[to] = data.draw(st.one_of(st.just(-w[c]), st.just(w[c]),
                                         weights))
         return w, b
+    if kind == "pair":
+        w, b = _free_row(data, cols)
+        c = data.draw(st.sampled_from(sorted(w)))
+        if negs.get(c):
+            to = data.draw(st.sampled_from(negs[c]))
+            w[to] = -w[c] + data.draw(DELTAS)
+        return {k: v for k, v in w.items() if v}, b
     pw, pb = made[-1] if made else ({}, Fraction(0))
     if kind == "zero":
         return {}, Fraction(0)
@@ -197,24 +211,27 @@ def _row(data, kind, made, cols, twins):
     return {k: v for k, v in w.items() if v}, b
 
 
-def _paired_layer(data, rows, cols, twins=None):
+def _paired_layer(data, rows, cols, twins=None, negs=None):
     out = []
     for _ in range(rows):
         out.append(_row(data, data.draw(st.sampled_from(ROW_KINDS)), out,
-                        cols, twins or {}))
+                        cols, twins or {}, negs or {}))
     w = {(r, c): v for r, (row, _) in enumerate(out) for c, v in row.items()}
     return w, tuple(b for _, b in out)
 
 
-def _twins(w, b):
-    """unit -> the other units whose rows equal its row."""
+def _partners(w, b, k):
+    """unit -> the other units whose rows are k times its row."""
     rows = [({}, bq) for bq in b]
     for (r, c), v in w.items():
         rows[r][0][c] = v
     groups = {}
     for q, (row, bq) in enumerate(rows):
         groups.setdefault((tuple(sorted(row.items())), bq), []).append(q)
-    return {q: [o for o in g if o != q] for g in groups.values() for q in g}
+    return {q: [o for o in groups.get(
+                (tuple(sorted((c, k * v) for c, v in row.items())), k * bq),
+                ()) if o != q]
+            for q, (row, bq) in enumerate(rows)}
 
 
 @given(points, st.integers(1, 2), st.data())
@@ -223,10 +240,12 @@ def test_forward_layers_folds_negated_rows_exactly(p, n, data):
     negations of the row before (chains of them included) and of earlier
     rows, copies and doubles of earlier rows, negations that miss by the
     bias, by one weight or by a column, zero rows, negated pairs with one
-    weight bumped by 1, and layer-2 weights on layer-1 units that share
-    a slot.  The shared integer pass must equal the Fraction pass, zero
-    pre-activations included: every other draw puts x on the zero set of
-    two adjacent layer-1 rows."""
+    weight bumped by 1, layer-2 weights on layer-1 units that share a
+    slot, and layer-2 and output weights w and -w + delta on units with
+    negated rows, which the kernel folds into an affine part and a ReLU
+    read of weight delta.  The folded integer pass must equal the Fraction
+    pass, zero pre-activations included: every other draw puts x on the
+    zero set of two adjacent layer-1 rows."""
     X, Y, W = p
     x, y = Fraction(X, W), Fraction(Y, W)
     w1, b1 = _paired_layer(data, 5 * n, 2)
@@ -237,9 +256,16 @@ def test_forward_layers_folds_negated_rows_exactly(p, n, data):
         acc = _preacts(w1, b1, [x, y])
         b1 = tuple(b - acc[q] if q in (r, r + 1) else b
                    for q, b in enumerate(b1))
-    w2, b2 = _paired_layer(data, 3 * n, 5 * n, _twins(w1, b1))
-    # every layer-2 unit reaches the output
+    w2, b2 = _paired_layer(data, 3 * n, 5 * n, _partners(w1, b1, 1),
+                           _partners(w1, b1, -1))
+    # every layer-2 unit reaches the output, and some pairs of units with
+    # negated rows are read with weights w and -w + delta
     w3 = {(0, c): data.draw(weights) for c in range(3 * n)}
+    for c, negs in _partners(w2, b2, -1).items():
+        if negs and data.draw(st.booleans()):
+            v = -w3[0, c] + data.draw(DELTAS)
+            if v:
+                w3[0, data.draw(st.sampled_from(negs))] = v
     layers = (network.AffineLayer(5 * n, 2, w1, b1),
               network.AffineLayer(3 * n, 5 * n, w2, b2),
               network.AffineLayer(1, 3 * n, w3, (data.draw(biases),)))
@@ -255,32 +281,86 @@ def _int_row(a, b, c):
 
 
 def test_built_networks_fold_every_relu_pair(compiled):
-    """A built network computes each distinct nonzero layer-1 row, up to
-    sign, once, so -f1 and -f3 read the relu(-z) slot of f1 and f3, and
-    -s in layer 2 reads that of s: per term 3 of the 8 hidden rows
-    compute nothing of their own, and rows shared across terms compute
-    once.  A zero f1 or f3 reads no slot at all."""
+    """u*relu(z) + d*relu(-z) = (u + d)*relu(z) - d*z leaves, per term,
+    at most two rows that go through a ReLU: f2 - f3 in layer 1 and
+    f1 - s in layer 2.  f1, -f1, f3, -f3, s and -s enter their readers
+    linearly, and a row that several terms share goes through a ReLU
+    once."""
     for name, (*_, terms, net) in compiled.items():
-        l1, l2, _ = net.layers
-        first, second, _, _ = net.kernel_form
-        rows = [[Fraction(0), Fraction(0), c] for c in l1.bias]
-        for (r, c), v in l1.weights.items():
-            rows[r][c] = v
-        ints = {_int_row(*row) for row in rows} - {(0, 0, 0)}
-        assert len(first) == len(ints), name
-        _, units1, scales = network._first_rows(l1)
-        _, units2, _ = network._second_rows(l2, scales, units1)
-        assert len(second) <= 2 * len(terms.terms), name
-        for i, t in enumerate(terms.terms):
-            u = units1[5 * i:5 * i + 5]
-            for j, g in ((0, t.f1), (3, t.f3)):
-                if g.is_zero():
-                    assert u[j] is None and u[j + 1] is None, name
-                else:
-                    assert u[j + 1] == u[j] ^ 1, name
-            s, neg_s = units2[3 * i + 1:3 * i + 3]
-            if s is None:
-                # f2 and f3 zero: s is 0
-                assert neg_s is None and t.f2.is_zero() and t.f3.is_zero()
-            else:
-                assert neg_s == s ^ 1, name
+        first, second, out, _ = net.kernel_form
+        diffs = {_int_row(*t.block_rows[2]) for t in terms.terms}
+        kept1 = [_int_row(a, b, c) for a, b, c, _ in first]
+        assert len(set(kept1)) == len(kept1), name
+        assert set(kept1) <= diffs - {(0, 0, 0)}, name
+        # second ends with the output's affine part
+        assert len(second) == len(out) + 1 <= len(terms.terms) + 1, name
+        for i in range(len(out)):
+            # f1 - s reads relu of one layer-1 row, its own f2 - f3
+            assert sum(any(j == i for j, _ in reads)
+                       for *_, reads in first) <= 1, name
+
+
+# points far outside every corpus instance's box, where every block's
+# rows take their far-field signs
+FAR = (pt(10**6, "-999999/7"), pt("-3000001/11", 2 * 10**6))
+
+
+def _bumped_output(layers, pres, cols, x, y, li, r, c):
+    """The Fraction pass's output once weight (r, c) of layer li is
+    raised by 1, from the unmutated pass's pre-activations pres: row r
+    of layer li moves by its input c, and each move is carried forward
+    through the weights that read the unit it moves (cols, per layer:
+    column -> [(row, weight)])."""
+    delta = {r: (x, y)[c] if li == 0 else max(pres[li - 1][c], 0)}
+    for lo in range(li, 2):
+        moved = {q: max(pres[lo][q] + d, 0) - max(pres[lo][q], 0)
+                 for q, d in delta.items()}
+        delta = {}
+        for q, d in moved.items():
+            for row, w in cols[lo + 1].get(q, ()):
+                delta[row] = delta.get(row, 0) + w * d
+    return pres[2][0] + delta.get(0, 0)
+
+
+def test_every_weight_mutant_evaluates_exactly(compiled):
+    """Every perturb_weight mutant of every corpus network -- each stored
+    weight of each layer raised by 1, and dropped if that makes it 0, as
+    seeded_mutations does -- evaluates to the Fraction pass's value at
+    samples and at far points.  A bump breaks whichever pair the weight
+    sat in, so the folded kernel must keep a ReLU read where u + d
+    became nonzero.  On the smallest networks the propagated reference
+    is checked against the plain pass itself."""
+    for name, (*_, slim, _, _, net) in compiled.items():
+        layers = net.layers
+        pts = sample_general_position(slim, 0, 3) + list(FAR)
+        base = []
+        for x in pts:
+            vals, pres = [x.x, x.y], []
+            for layer in layers:
+                pres.append(_preacts(layer.weights, layer.bias, vals))
+                vals = [max(v, 0) for v in pres[-1]]
+            base.append(pres)
+        cols = []
+        for layer in layers:
+            by_col = {}
+            for (r, c), w in layer.weights.items():
+                by_col.setdefault(c, []).append((r, w))
+            cols.append(by_col)
+        small = sum(len(layer.weights) for layer in layers) <= 40
+        for li, layer in enumerate(layers):
+            for r, c in layer.weights:
+                w2 = dict(layer.weights)
+                w2[r, c] += 1
+                if not w2[r, c]:
+                    del w2[r, c]
+                mutant = list(layers)
+                mutant[li] = network.AffineLayer(layer.rows, layer.cols, w2,
+                                                 layer.bias)
+                mnet = network.ReluNetwork(tuple(mutant))
+                for x, pres in zip(pts, base):
+                    want = _bumped_output(layers, pres, cols, x.x, x.y,
+                                          li, r, c)
+                    if small:
+                        assert want == _forward(mutant, x.x, x.y)
+                    assert network.eval_network(mnet, x) == want, (
+                        name, li, r, c, x)

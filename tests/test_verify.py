@@ -1,12 +1,13 @@
 """The verifier: exact equivalence reports, lemma suite, mutations."""
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from cpa2relu import model
-from cpa2relu.geometry import pt
+from cpa2relu import model, sides
+from cpa2relu.geometry import pt, rat_to_json
 from cpa2relu.maxform import MaxTerm, TermList
 from cpa2relu.model import AffineFunc
 from cpa2relu.network import AffineLayer, ReluNetwork, build_network
@@ -127,6 +128,43 @@ def test_lemma_suite_flags_euler_violation(corpus_docs):
     assert not report.certified
     assert report.euler["chi"] == 3 and not report.euler["ok"]
     assert any(f.get("stage") == "euler" for f in report.failures)
+    lines = report.summary().splitlines()
+    assert "certified: NO" in lines[0]
+    assert "euler characteristic: 3 (VIOLATED)" in lines
+
+
+def test_lemma_suite_reports_identity_failures(corpus_insts, monkeypatch):
+    """With c(P) one too large the indicator identity fails for every
+    piece at every sample: the report is not certified, each failure
+    holds its sample index, piece, point and both sides, and the summary
+    counts the failing evaluations and lists the first five."""
+    real = sides.conic_coeff
+
+    def wrong(inst, piece_id):
+        cc = real(inst, piece_id)
+        return dataclasses.replace(cc, c=cc.c + 1)
+
+    monkeypatch.setattr(sides, "conic_coeff", wrong)
+    inst = corpus_insts["square_hole"]
+    n, seed = 4, 2
+    report = verify_lemma_suite(inst, n=n, seed=seed)
+    assert not report.certified and report.euler["ok"]
+    pts = [[rat_to_json(x.x), rat_to_json(x.y)]
+           for x in sample_general_position(inst, seed, n)]
+    pids = sorted(inst.pieces)
+    assert [(f["index"], f["piece"], f["point"]) for f in report.failures] \
+        == [(i, pid, pts[i]) for i in range(n) for pid in pids]
+    for f in report.failures:
+        assert set(f) == {"index", "piece", "point", "lhs", "rhs"}
+        assert f["lhs"] == f["rhs"] + 1 and f["rhs"] in (0, 1)
+    assert report.identity_stats == {pid: {"pass": 0, "fail": n}
+                                     for pid in pids}
+    lines = report.summary().splitlines()
+    bad = n * len(pids)
+    assert f"indicator identity: {len(pids)} pieces, {bad} failing " \
+           f"evaluations" in lines
+    assert sum(s.startswith("  failure: ") for s in lines) == 5
+    assert lines[-1] == f"  ... and {bad - 5} more"
 
 
 # ---------------------------------------------------------------------------
